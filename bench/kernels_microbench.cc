@@ -3,15 +3,21 @@
  * Kernel-level ablation (experiment E8 in DESIGN.md): google-benchmark
  * microbenchmarks of every dispatched DSP kernel at every SIMD level
  * the running CPU supports (scalar, SSE2, AVX2, ...) — the per-kernel
- * speedups underlying Figure 1's whole-codec speedups.
+ * speedups underlying Figure 1's whole-codec speedups — plus the
+ * sub-sample refinement stage built from them (BM_SubpelRefine).
  */
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
 
+#include "core/benchmark.h"
+#include "mc/mc.h"
+#include "me/me.h"
 #include "simd/dispatch.h"
+#include "synth/synth.h"
 #include "video/frame.h"
 
 using namespace hdvb;
@@ -375,6 +381,146 @@ BM_PlaneCopy(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PlaneCopy);
+
+// ---- Sub-sample refinement stage (the encoders' search after the
+// full-sample step): filter-per-candidate through the MC functions
+// ("tap") against filter-once candidates compared in place ("cached").
+// One iteration refines one macroblock of blue_sky 1088p from its
+// full-sample result, cycling through the picture, so the reported time
+// is ns per macroblock. The centre-plane build the cached path relies
+// on is paid once per reference and measured on its own below.
+
+struct SubpelScene {
+    Frame ref;
+    Frame cur;
+    Plane centre;
+    std::vector<MeBlock> blocks;
+    std::vector<MotionVector> hex_start;   ///< quarter-sample
+    std::vector<MotionVector> epzs_start;  ///< quarter-sample
+};
+
+MeParams
+h264_me_params(const Dsp &dsp)
+{
+    const CodecConfig cfg = benchmark_config(
+        CodecId::kH264, Resolution::k1088p25, best_simd_level());
+    return MeParams{cfg.me_range,
+                    static_cast<int>(16.0 *
+                                     std::pow(2.0, (cfg.qp - 12) / 6.0)),
+                    2, &dsp, 0};
+}
+
+MeParams
+mpeg4_me_params(const Dsp &dsp)
+{
+    const CodecConfig cfg = benchmark_config(
+        CodecId::kMpeg4, Resolution::k1088p25, best_simd_level());
+    return MeParams{cfg.me_range, cfg.qscale * 16, 2, &dsp, 0};
+}
+
+SubpelScene &
+subpel_scene()
+{
+    static SubpelScene *scene = [] {
+        auto *s = new SubpelScene;
+        const ResolutionInfo res = resolution_info(Resolution::k1088p25);
+        SyntheticSource source(SequenceId::kBlueSky, res.width,
+                               res.height);
+        s->ref = Frame(res.width, res.height, kRefBorder);
+        s->ref.copy_from(source.at(0));
+        s->ref.extend_borders();
+        s->cur = source.at(1);
+        const Dsp &dsp = get_dsp(best_simd_level());
+        s->centre = Plane(res.width, res.height, kRefBorder);
+        build_centre_plane(s->ref.luma(), &s->centre, dsp);
+        const MotionEstimator hex(h264_me_params(dsp));
+        const MotionEstimator epzs(mpeg4_me_params(dsp));
+        for (int y = 0; y + 16 <= res.height; y += 16) {
+            for (int x = 0; x + 16 <= res.width; x += 16) {
+                MeBlock blk;
+                blk.cur = &s->cur.luma();
+                blk.ref = &s->ref.luma();
+                blk.x0 = x;
+                blk.y0 = y;
+                const MotionVector h = hex.hex(blk, {}, {}).mv;
+                const MotionVector e = epzs.epzs(blk, {}, {}).mv;
+                s->blocks.push_back(blk);
+                s->hex_start.push_back({static_cast<s16>(h.x * 4),
+                                        static_cast<s16>(h.y * 4)});
+                s->epzs_start.push_back({static_cast<s16>(e.x * 4),
+                                         static_cast<s16>(e.y * 4)});
+            }
+        }
+        return s;
+    }();
+    return *scene;
+}
+
+enum class SubpelPath { kTap, kCached };
+
+void
+BM_SubpelRefine(benchmark::State &state, CodecId codec, SubpelPath path)
+{
+    SubpelScene &scene = subpel_scene();
+    const Dsp &dsp = get_dsp(best_simd_level());
+    const bool h264 = codec == CodecId::kH264;
+    const MeParams params = h264 ? h264_me_params(dsp)
+                                 : mpeg4_me_params(dsp);
+    const std::vector<MotionVector> &starts =
+        h264 ? scene.hex_start : scene.epzs_start;
+    const Plane &ref = scene.ref.luma();
+    size_t i = 0;
+    for (auto _ : state) {
+        const MeBlock &blk = scene.blocks[i];
+        const MotionVector start = starts[i];
+        MeResult r;
+        if (path == SubpelPath::kTap) {
+            r = subpel_refine(
+                blk, start, start, params, {2, 1}, h264,
+                [&](MotionVector mv, Pixel *dst, int ds) {
+                    mc_qpel_tap(ref, blk.x0, blk.y0, mv, dst, ds, 16, 16,
+                                dsp);
+                });
+        } else {
+            const QpelSearchWindow win(ref, scene.centre, blk.x0, blk.y0,
+                                       16, 16, start, dsp);
+            r = subpel_refine_views(
+                blk, start, start, params, {2, 1}, h264,
+                [&](MotionVector mv, Pixel *scratch, int ss) {
+                    return win.predict(mv, scratch, ss);
+                });
+        }
+        benchmark::DoNotOptimize(r);
+        if (++i == scene.blocks.size())
+            i = 0;
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK_CAPTURE(BM_SubpelRefine, h264_satd/tap, CodecId::kH264,
+                  SubpelPath::kTap);
+BENCHMARK_CAPTURE(BM_SubpelRefine, h264_satd/cached, CodecId::kH264,
+                  SubpelPath::kCached);
+BENCHMARK_CAPTURE(BM_SubpelRefine, mpeg4_sad/tap, CodecId::kMpeg4,
+                  SubpelPath::kTap);
+BENCHMARK_CAPTURE(BM_SubpelRefine, mpeg4_sad/cached, CodecId::kMpeg4,
+                  SubpelPath::kCached);
+
+void
+BM_CentrePlaneBuild1088p(benchmark::State &state)
+{
+    // Once per reference picture: the whole border-extended centre
+    // half-sample plane of a 1088p luma reference.
+    SubpelScene &scene = subpel_scene();
+    const Dsp &dsp = get_dsp(best_simd_level());
+    Plane centre(scene.ref.width(), scene.ref.height(), kRefBorder);
+    for (auto _ : state) {
+        build_centre_plane(scene.ref.luma(), &centre, dsp);
+        benchmark::DoNotOptimize(centre.row(0));
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK(BM_CentrePlaneBuild1088p)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -271,6 +271,14 @@ class EncoderBase : public VideoEncoder
                      config_.frame_pool ? &pool_ : nullptr);
     }
 
+    /** Luma-sized plane drawn from the same pool as new_frame(). */
+    Plane
+    new_plane(int border = 0)
+    {
+        return Plane(config_.width, config_.height, border,
+                     config_.frame_pool ? &pool_ : nullptr);
+    }
+
     /**
      * Claim the hint picture for @p src from the adopted HintMap, or
      * null when there is no map, no buffered picture for src.poc(),

@@ -127,6 +127,13 @@ class H264Encoder final : public EncoderBase
         Coeff chroma[2][4][16] = {};
     };
 
+    /** A reconstructed anchor and the centre half-sample plane its
+     * sub-sample searches read (built once, when it enters dpb_). */
+    struct Reference {
+        Frame frame;
+        Plane centre;
+    };
+
     /** Analysis-side row-scoped B-picture MV chains. */
     struct RowState {
         MotionVector left_fwd;
@@ -166,8 +173,8 @@ class H264Encoder final : public EncoderBase
                   const MbRecord &rec, PictureType type);
 
     MotionVector median_pred(int mbx, int mby) const;
-    MeResult estimate(const Frame &src, const Plane &ref, int x0, int y0,
-                      int w, int h, MotionVector pred_sub,
+    MeResult estimate(const Frame &src, const Reference &ref, int x0,
+                      int y0, int w, int h, MotionVector pred_sub,
                       const std::vector<MotionVector> &cands) const;
     void predict_inter_luma(const Plane &ref, int mbx, int mby,
                             const Partition *parts, int count,
@@ -175,7 +182,8 @@ class H264Encoder final : public EncoderBase
     void fill_binfo(int mbx, int mby, bool intra, s8 ref,
                     const Partition *parts, int count, u16 nz_map);
 
-    const Frame &ref_frame(int ref_idx) const;
+    /** List0 entry @p ref_idx: newest anchor first. */
+    const Reference &reference(int ref_idx) const;
 
     const Dsp &dsp_;
     H264Quantizer quant_i_;
@@ -185,7 +193,7 @@ class H264Encoder final : public EncoderBase
     int mb_w_;
     int mb_h_;
 
-    std::deque<Frame> dpb_;  ///< reconstructed anchors, newest last
+    std::deque<Reference> dpb_;  ///< anchors, newest last
     RangeEncoder rc_;        ///< persistent coder (capacity reuse)
     BitWriter hbw_;          ///< persistent header writer
     std::vector<u8> wbuf_;   ///< persistent finish_into() scratch
@@ -208,10 +216,9 @@ class H264Encoder final : public EncoderBase
     }
 };
 
-const Frame &
-H264Encoder::ref_frame(int ref_idx) const
+const H264Encoder::Reference &
+H264Encoder::reference(int ref_idx) const
 {
-    // List0: newest anchor first.
     HDVB_DCHECK(ref_idx < static_cast<int>(dpb_.size()));
     return dpb_[dpb_.size() - 1 - static_cast<size_t>(ref_idx)];
 }
@@ -233,13 +240,13 @@ H264Encoder::median_pred(int mbx, int mby) const
 }
 
 MeResult
-H264Encoder::estimate(const Frame &src, const Plane &ref, int x0, int y0,
-                      int w, int h, MotionVector pred_sub,
+H264Encoder::estimate(const Frame &src, const Reference &ref, int x0,
+                      int y0, int w, int h, MotionVector pred_sub,
                       const std::vector<MotionVector> &cands) const
 {
     MeBlock blk;
     blk.cur = &src.luma();
-    blk.ref = &ref;
+    blk.ref = &ref.frame.luma();
     blk.x0 = x0;
     blk.y0 = y0;
     blk.w = w;
@@ -255,17 +262,21 @@ H264Encoder::estimate(const Frame &src, const Plane &ref, int x0, int y0,
         r.mv = start;
         return r;
     }
-    // SATD-driven half- then quarter-sample refinement (subme-style);
-    // the top approximation levels stop at half-sample.
-    const auto mc = [&](MotionVector mv, Pixel *dst, int ds) {
-        mc_h264_luma(ref, x0, y0, mv, dst, ds, w, h, dsp_);
+    // SATD-driven half- then quarter-sample refinement (subme-style),
+    // comparing candidates in place in the reference, its centre plane
+    // and a window of the other half-samples; the top approximation
+    // levels stop at half-sample.
+    const QpelSearchWindow win(ref.frame.luma(), ref.centre, x0, y0, w, h,
+                               start, dsp_);
+    const auto view = [&](MotionVector mv, Pixel *scratch, int ss) {
+        return win.predict(mv, scratch, ss);
     };
-    return approx >= 2 ? subpel_refine(blk, start, pred_sub,
-                                       me_.params(), {2},
-                                       /*use_satd=*/true, mc)
-                       : subpel_refine(blk, start, pred_sub,
-                                       me_.params(), {2, 1},
-                                       /*use_satd=*/true, mc);
+    return approx >= 2 ? subpel_refine_views(blk, start, pred_sub,
+                                             me_.params(), {2},
+                                             /*use_satd=*/true, view)
+                       : subpel_refine_views(blk, start, pred_sub,
+                                             me_.params(), {2, 1},
+                                             /*use_satd=*/true, view);
 }
 
 void
@@ -496,8 +507,14 @@ H264Encoder::analyze_intra_mb(RowState &rs, const Frame &src, int mbx,
 
     bool use_i4 = false;
     if (config().intra4) {
-        // Estimate the Intra4 cost with source-neighbour SATD (cheap
-        // proxy; the real coding below uses reconstructed neighbours).
+        // Estimate the Intra4 cost with every block predicted from the
+        // reconstruction as it stands before this MB is coded (a cheap
+        // proxy; the real coding below reconstructs block by block).
+        // Blocks inside the MB therefore see its uncoded samples, which
+        // read as zero: clear them, so a recycled recon_ buffer's stale
+        // contents can never steer the decision.
+        for (int y = 0; y < 16; ++y)
+            std::memset(recon_.luma().row(ly + y) + lx, 0, 16);
         int cost4 = (me_.params().lambda16 * 48) >> 4;
         Pixel p4[16];
         for (int b = 0; b < 16 && cost4 < cost16; ++b) {
@@ -696,15 +713,15 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
         MeResult best16;
         int best_ref = r_lo;
         for (int r = r_lo; r < r_hi; ++r) {
-            MeResult res = estimate(src, ref_frame(r).luma(), lx, ly,
-                                    16, 16, pred_mv, cands);
+            MeResult res =
+                estimate(src, reference(r), lx, ly, 16, 16, pred_mv, cands);
             res.cost += (me_.params().lambda16 * 2 * r) >> 4;
             if (res.cost < best16.cost) {
                 best16 = res;
                 best_ref = r;
             }
         }
-        const Plane &ref_luma = ref_frame(best_ref).luma();
+        const Reference &ref = reference(best_ref);
 
         // Partition decision on the chosen reference (the hint is a
         // 16x16 seed, so trust it and skip the split trials).
@@ -729,7 +746,7 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
                 for (int p = 0; p < count && cost < best_cost; ++p) {
                     trial[p] = kPartGeom[mode][p];
                     const MeResult r = estimate(
-                        src, ref_luma, lx + trial[p].x, ly + trial[p].y,
+                        src, ref, lx + trial[p].x, ly + trial[p].y,
                         trial[p].w, trial[p].h, best16.mv, sub_cands);
                     trial[p].mv = r.mv;
                     cost += r.cost;
@@ -751,17 +768,17 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
         // Build the prediction and quantise the residual.
         Pixel luma_pred[16 * 16], cb_pred[8 * 8], cr_pred[8 * 8];
         const int count = kPartCount[best_mode];
-        predict_inter_luma(ref_luma, mbx, mby, parts, count, luma_pred);
+        predict_inter_luma(ref.frame.luma(), mbx, mby, parts, count,
+                           luma_pred);
         {
             // Chroma from the partition MVs.
-            const Frame &ref = ref_frame(best_ref);
             for (int p = 0; p < count; ++p) {
                 const Partition &part = parts[p];
-                mc_h264_chroma(ref.cb(), mbx * 8 + part.x / 2,
+                mc_h264_chroma(ref.frame.cb(), mbx * 8 + part.x / 2,
                                mby * 8 + part.y / 2, part.mv,
                                cb_pred + (part.y / 2) * 8 + part.x / 2,
                                8, part.w / 2, part.h / 2);
-                mc_h264_chroma(ref.cr(), mbx * 8 + part.x / 2,
+                mc_h264_chroma(ref.frame.cr(), mbx * 8 + part.x / 2,
                                mby * 8 + part.y / 2, part.mv,
                                cr_pred + (part.y / 2) * 8 + part.x / 2,
                                8, part.w / 2, part.h / 2);
@@ -807,8 +824,10 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
     // ---- B picture: 16x16 fwd/bwd/bi (+ intra) ----
     // A single-direction hint prunes the opposite estimate and the
     // bi-prediction build.
-    const Frame &fwd_ref = dpb_[dpb_.size() - 2];
-    const Frame &bwd_ref = dpb_.back();
+    const Reference &fwd_anchor = dpb_[dpb_.size() - 2];
+    const Reference &bwd_anchor = dpb_.back();
+    const Frame &fwd_ref = fwd_anchor.frame;
+    const Frame &bwd_ref = bwd_anchor.frame;
     const bool want_fwd =
         hint == nullptr || hint->mode != MbSideInfo::kInterBwd;
     const bool want_bwd =
@@ -821,7 +840,7 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
         std::vector<MotionVector> fcands = cands;
         if (hint != nullptr)
             fcands.push_back(hint_full_pel(hint->fwd));
-        fwd = estimate(src, fwd_ref.luma(), lx, ly, 16, 16, rs.left_fwd,
+        fwd = estimate(src, fwd_anchor, lx, ly, 16, 16, rs.left_fwd,
                        fcands);
         mc_h264_luma(fwd_ref.luma(), lx, ly, fwd.mv, fbuf, 16, 16, 16,
                      dsp_);
@@ -830,7 +849,7 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
         std::vector<MotionVector> bcands = cands;
         if (hint != nullptr)
             bcands.push_back(hint_full_pel(hint->bwd));
-        bwd = estimate(src, bwd_ref.luma(), lx, ly, 16, 16, rs.left_bwd,
+        bwd = estimate(src, bwd_anchor, lx, ly, 16, 16, rs.left_bwd,
                        bcands);
         mc_h264_luma(bwd_ref.luma(), lx, ly, bwd.mv, bbuf, 16, 16, 16,
                      dsp_);
@@ -1109,11 +1128,16 @@ H264Encoder::encode_picture(const Frame &src, PictureType type)
         for (size_t i = 0; i < mv_grid_.size(); ++i)
             anchor_mvs_[i] = {static_cast<s16>(mv_grid_[i].x >> 2),
                               static_cast<s16>(mv_grid_[i].y >> 2)};
-        dpb_.push_back(std::move(recon_));
-        const size_t max_dpb =
-            static_cast<size_t>(clamp(cfg.refs, 2, 16)) + 1;
-        while (dpb_.size() > max_dpb)
+        // P pictures read the newest refs anchors and B pictures the
+        // newest two. Evict before building the newcomer's centre plane
+        // so no more than that many references are ever held.
+        const size_t max_dpb = static_cast<size_t>(clamp(cfg.refs, 2, 16));
+        while (dpb_.size() >= max_dpb)
             dpb_.pop_front();
+        Reference ref{std::move(recon_), new_plane(kRefBorder)};
+        build_centre_plane(ref.frame.luma(), &ref.centre, dsp_,
+                           pool_.get());
+        dpb_.push_back(std::move(ref));
     }
     return out;
 }

@@ -30,6 +30,8 @@
 
 namespace hdvb {
 
+class ThreadPool;
+
 /** A motion vector; units depend on the codec (half- or quarter-pel). */
 struct MotionVector {
     s16 x = 0;
@@ -82,6 +84,73 @@ void mc_qpel_tap(const Plane &ref, int x0, int y0, MotionVector mv,
  */
 void mc_h264_luma(const Plane &ref, int x0, int y0, MotionVector mv,
                   Pixel *dst, int ds, int w, int h, const Dsp &dsp);
+
+/** One lattice sample block of the H.264 position table (mc.cc). */
+struct LatticeTap;
+
+/** A read-only w x h block of samples somewhere in memory. */
+struct PixelView {
+    const Pixel *data;
+    int stride;
+};
+
+/**
+ * Fill @p centre with the centre (j) half-sample plane of @p ref: j at
+ * (x, y) is the half-sample at (x + 1/2, y + 1/2), equal to
+ * h264_hpel_hv there. @p centre must have @p ref's geometry, so both
+ * share a stride and the same address arithmetic. Every position whose
+ * filter taps stay inside @p ref's border is filled — 2 - border up to
+ * size + border - 4 on each axis — which covers every vector a search
+ * can reach (see kSubpelReach in me/me.h). With a non-null @p pool the
+ * rows are filled in bands on its workers.
+ */
+void build_centre_plane(const Plane &ref, Plane *centre, const Dsp &dsp,
+                        ThreadPool *pool = nullptr);
+
+/**
+ * Sub-sample candidates of one block's H.264-lattice search, each
+ * filtered at most once. The centre half-samples come from a cached
+ * plane (build_centre_plane); the horizontal and vertical ones are
+ * filtered on construction into a (w+4) x (h+4) window around the
+ * full-sample start; full samples are read straight from the
+ * reference. A candidate is then a view into one of those, or one
+ * avg_rect of two — bit-identical to mc_h264_luma.
+ *
+ * Covers every vector within 2 whole samples left/up and 1 right/down
+ * of the start's integer position — the drift of a two-round
+ * quarter-sample refinement (see subpel_refine).
+ */
+class QpelSearchWindow
+{
+  public:
+    /** @p start is the full-sample search result in quarter-sample
+     * units (a multiple of 4). */
+    QpelSearchWindow(const Plane &ref, const Plane &centre, int x0,
+                     int y0, int w, int h, MotionVector start,
+                     const Dsp &dsp);
+
+    /** The prediction at quarter-sample @p mv: a view into the
+     * reference, the centre plane or the window, or — for a quarter
+     * position — the average of two such views written to
+     * @p scratch (stride @p ss), which is then the view returned. */
+    PixelView predict(MotionVector mv, Pixel *scratch, int ss) const;
+
+  private:
+    /** Margin of the window around the block: 2 before, 2 after. */
+    static constexpr int kPad = 2;
+    static constexpr int kStride = 32;  ///< >= kMaxBlockSize + 2*kPad
+    static constexpr int kRows = kMaxBlockSize + 2 * kPad;
+
+    PixelView tap_view(const LatticeTap &tap, int ix, int iy) const;
+
+    const Plane &ref_;
+    const Plane &centre_;
+    const Dsp &dsp_;
+    int x0_, y0_, w_, h_;
+    int wx_, wy_;  ///< picture position of window sample (0, 0)
+    alignas(32) Pixel half_h_[kRows * kStride];
+    alignas(32) Pixel half_v_[kRows * kStride];
+};
 
 /**
  * H.264-class chroma prediction: 1/8-sample bilinear driven directly by

@@ -23,6 +23,7 @@
 #include "common/types.h"
 #include "mc/mc.h"
 #include "simd/dispatch.h"
+#include "video/frame.h"
 #include "video/plane.h"
 
 namespace hdvb {
@@ -30,6 +31,20 @@ namespace hdvb {
 /** Margin (in samples) that motion vectors may reach past the picture
  * edge; leaves kRefBorder - kMeMargin samples for interpolation taps. */
 inline constexpr int kMeMargin = 24;
+
+/** Whole samples a subpel_refine walk may move a block's integer
+ * position away from its full-sample start: two rounds of each step
+ * reach +-6 quarter samples (+-3 half samples), whose integer part
+ * lies within 2 samples left/up and 1 right/down. */
+inline constexpr int kSubpelDrift = 2;
+
+/** Furthest a refined block reaches past a picture edge. */
+inline constexpr int kSubpelReach = kMeMargin + kSubpelDrift;
+
+// A 6-tap filter reaches 3 samples past the sample it interpolates, so
+// every position a search can reach must keep 3 samples of border.
+static_assert(kSubpelReach + 3 <= kRefBorder,
+              "sub-sample search reads past the reference border");
 
 /** A block to estimate: position/size in the current picture. */
 struct MeBlock {
@@ -139,31 +154,36 @@ class MotionEstimator
 };
 
 /**
- * Generic sub-sample refinement around @p start (sub-pel units).
+ * Generic sub-sample refinement around @p start (sub-pel units),
+ * comparing candidates in place.
  *
- * @tparam PredictFn void(MotionVector mv_sub, Pixel *dst, int ds)
+ * @tparam ViewFn PixelView(MotionVector mv_sub, Pixel *scratch, int ss):
+ *         the prediction at mv_sub, either a view of samples that
+ *         already exist (a reference plane, a cached half-sample plane
+ *         or window) or written to @p scratch and viewed there.
  * @param steps list of step sizes in sub-pel units to refine with,
  *        e.g. {1} for a half-pel codec, {2, 1} for quarter-pel.
  * @param use_satd refine on SATD instead of SAD (H.264 subme style).
  */
-template <typename PredictFn>
+template <typename ViewFn>
 MeResult
-subpel_refine(const MeBlock &blk, MotionVector start_sub,
-              MotionVector pred_sub, const MeParams &params,
-              std::initializer_list<int> steps, bool use_satd,
-              PredictFn &&predict)
+subpel_refine_views(const MeBlock &blk, MotionVector start_sub,
+                    MotionVector pred_sub, const MeParams &params,
+                    std::initializer_list<int> steps, bool use_satd,
+                    ViewFn &&view)
 {
     const Dsp &dsp = *params.dsp;
     Pixel scratch[kMaxBlockSize * kMaxBlockSize];
-    const int ss = kMaxBlockSize;
     const Pixel *cur = blk.cur->row(blk.y0) + blk.x0;
     const int cs = blk.cur->stride();
 
     auto distortion = [&](MotionVector mv) {
-        predict(mv, scratch, ss);
+        const PixelView v = view(mv, scratch, kMaxBlockSize);
         return use_satd
-                   ? dsp.satd_rect(cur, cs, scratch, ss, blk.w, blk.h)
-                   : dsp.sad_rect(cur, cs, scratch, ss, blk.w, blk.h);
+                   ? dsp.satd_rect(cur, cs, v.data, v.stride, blk.w,
+                                   blk.h)
+                   : dsp.sad_rect(cur, cs, v.data, v.stride, blk.w,
+                                  blk.h);
     };
 
     MeResult best;
@@ -172,12 +192,10 @@ subpel_refine(const MeBlock &blk, MotionVector start_sub,
     best.cost = best.sad + mv_rate_cost(start_sub, pred_sub,
                                         params.lambda16);
 
-    // The legal sub-pel window: one tap-safe step inside the full-pel
-    // bounds used by the integer search.
     for (int step : steps) {
-        // Two rounds per step bounds the drift to ~1.5 full samples,
-        // keeping interpolation taps inside the reference border
-        // (kMeMargin + drift + 3 taps < kRefBorder).
+        // Two rounds per step bound the drift to kSubpelDrift whole
+        // samples, keeping interpolation taps inside the reference
+        // border (the static_assert on kSubpelReach above).
         bool improved = true;
         for (int round = 0; round < 2 && improved; ++round) {
             improved = false;
@@ -201,6 +219,27 @@ subpel_refine(const MeBlock &blk, MotionVector start_sub,
         }
     }
     return best;
+}
+
+/**
+ * subpel_refine_views for a predictor that writes each candidate into
+ * a buffer.
+ *
+ * @tparam PredictFn void(MotionVector mv_sub, Pixel *dst, int ds)
+ */
+template <typename PredictFn>
+MeResult
+subpel_refine(const MeBlock &blk, MotionVector start_sub,
+              MotionVector pred_sub, const MeParams &params,
+              std::initializer_list<int> steps, bool use_satd,
+              PredictFn &&predict)
+{
+    return subpel_refine_views(
+        blk, start_sub, pred_sub, params, steps, use_satd,
+        [&](MotionVector mv, Pixel *dst, int ds) {
+            predict(mv, dst, ds);
+            return PixelView{dst, ds};
+        });
 }
 
 }  // namespace hdvb

@@ -145,8 +145,9 @@ class Mpeg4Encoder final : public EncoderBase
 
     /** Median MV predictor from the decoded-MV grid (P pictures). */
     MotionVector median_pred(int mbx, int mby) const;
-    MeResult estimate(const Frame &src, const Frame &ref, int x0, int y0,
-                      int size, MotionVector pred_sub,
+    MeResult estimate(const Frame &src, const Frame &ref,
+                      const Plane &centre, int x0, int y0, int size,
+                      MotionVector pred_sub,
                       const std::vector<MotionVector> &cands) const;
     void predict_luma(const Frame &ref, int mbx, int mby,
                       const MotionVector *mv, bool four,
@@ -175,6 +176,10 @@ class Mpeg4Encoder final : public EncoderBase
 
     Frame prev_anchor_;
     Frame last_anchor_;
+    /** Centre half-sample planes of the two anchors, built once each
+     * (see build_centre_plane) for the sub-sample searches. */
+    Plane prev_centre_;
+    Plane last_centre_;
     std::vector<MotionVector> anchor_mvs_;  ///< full-pel collocated
     std::vector<MotionVector> mv_grid_;     ///< quarter-pel, current
     Frame recon_;
@@ -247,8 +252,9 @@ Mpeg4Encoder::gather_candidates(int mbx, int mby) const
 }
 
 MeResult
-Mpeg4Encoder::estimate(const Frame &src, const Frame &ref, int x0,
-                       int y0, int size, MotionVector pred_sub,
+Mpeg4Encoder::estimate(const Frame &src, const Frame &ref,
+                       const Plane &centre, int x0, int y0, int size,
+                       MotionVector pred_sub,
                        const std::vector<MotionVector> &cands) const
 {
     MeBlock blk;
@@ -269,17 +275,20 @@ Mpeg4Encoder::estimate(const Frame &src, const Frame &ref, int x0,
         r.mv = start;  // full-pel position, already qpel-legal
         return r;
     }
-    auto predict = [&](MotionVector mv, Pixel *dst, int ds) {
-        mc_qpel_tap(ref.luma(), x0, y0, mv, dst, ds, size, size, dsp_);
+    // mc_qpel_tap's lattice, compared in place (see QpelSearchWindow).
+    const QpelSearchWindow win(ref.luma(), centre, x0, y0, size, size,
+                               start, dsp_);
+    const auto view = [&](MotionVector mv, Pixel *scratch, int ss) {
+        return win.predict(mv, scratch, ss);
     };
     // approx >= 2 drops the quarter-sample pass: half-sample steps
-    // only, halving the interpolation work per refined block.
+    // only, halving the candidates per refined block.
     MeResult res =
         config().qpel && approx < 2
-            ? subpel_refine(blk, start, pred_sub, me_.params(), {2, 1},
-                            /*use_satd=*/false, predict)
-            : subpel_refine(blk, start, pred_sub, me_.params(), {2},
-                            /*use_satd=*/false, predict);
+            ? subpel_refine_views(blk, start, pred_sub, me_.params(),
+                                  {2, 1}, /*use_satd=*/false, view)
+            : subpel_refine_views(blk, start, pred_sub, me_.params(),
+                                  {2}, /*use_satd=*/false, view);
     res.mv = quantize_mv(res.mv);
     return res;
 }
@@ -417,7 +426,11 @@ Mpeg4Encoder::encode_picture(const Frame &src, PictureType type)
     recon_.extend_borders();
     if (type != PictureType::kB) {
         prev_anchor_ = std::move(last_anchor_);
+        prev_centre_ = std::move(last_centre_);
         last_anchor_ = std::move(recon_);
+        last_centre_ = new_plane(kRefBorder);
+        build_centre_plane(last_anchor_.luma(), &last_centre_, dsp_,
+                           pool_.get());
         for (size_t i = 0; i < mv_grid_.size(); ++i)
             anchor_mvs_[i] = {static_cast<s16>(mv_grid_[i].x >> 2),
                               static_cast<s16>(mv_grid_[i].y >> 2)};
@@ -483,8 +496,9 @@ Mpeg4Encoder::analyze_mb(RowState &rs, const Frame &src,
         std::vector<MotionVector> cands = gather_candidates(mbx, mby);
         if (hint != nullptr)
             cands.push_back(hint_full_pel(hint->fwd));
-        const MeResult r16 = estimate(src, last_anchor_, mbx * 16,
-                                      mby * 16, 16, pred, cands);
+        const MeResult r16 = estimate(src, last_anchor_, last_centre_,
+                                      mbx * 16, mby * 16, 16, pred,
+                                      cands);
 
         MotionVector mv[4] = {r16.mv, r16.mv, r16.mv, r16.mv};
         bool four = false;
@@ -506,7 +520,7 @@ Mpeg4Encoder::analyze_mb(RowState &rs, const Frame &src,
             c8.push_back({static_cast<s16>(r16.mv.x >> 2),
                           static_cast<s16>(r16.mv.y >> 2)});
             for (int b = 0; b < 4; ++b) {
-                sub[b] = estimate(src, last_anchor_,
+                sub[b] = estimate(src, last_anchor_, last_centre_,
                                   mbx * 16 + (b & 1) * 8,
                                   mby * 16 + (b >> 1) * 8, 8, pred, c8);
                 cost4 += sub[b].cost;
@@ -542,15 +556,15 @@ Mpeg4Encoder::analyze_mb(RowState &rs, const Frame &src,
         std::vector<MotionVector> cands = gather_candidates(mbx, mby);
         if (hint != nullptr)
             cands.push_back(hint_full_pel(hint->fwd));
-        fwd = estimate(src, prev_anchor_, mbx * 16, mby * 16, 16,
-                       rs.left_fwd, cands);
+        fwd = estimate(src, prev_anchor_, prev_centre_, mbx * 16,
+                       mby * 16, 16, rs.left_fwd, cands);
     }
     if (want_bwd) {
         std::vector<MotionVector> cands = gather_candidates(mbx, mby);
         if (hint != nullptr)
             cands.push_back(hint_full_pel(hint->bwd));
-        bwd = estimate(src, last_anchor_, mbx * 16, mby * 16, 16,
-                       rs.left_bwd, cands);
+        bwd = estimate(src, last_anchor_, last_centre_, mbx * 16,
+                       mby * 16, 16, rs.left_bwd, cands);
     }
 
     int best;

@@ -131,12 +131,25 @@ pool_config()
     return cfg;
 }
 
+constexpr int kWarmup = 12;  // covers a full GOP's frame types
+constexpr int kSteady = 12;
+
+/** Encoder-pool high-water mark (buffers) over a steady-state run. */
+s64
+encoder_high_water(CodecId codec, const CodecConfig &cfg)
+{
+    std::unique_ptr<VideoEncoder> enc = make_encoder(codec, cfg).value();
+    SyntheticSource source(SequenceId::kRushHour, cfg.width, cfg.height);
+    std::vector<Packet> packets;
+    for (int i = 0; i < kWarmup + kSteady; ++i)
+        EXPECT_TRUE(enc->encode(source.next(), &packets).is_ok());
+    return enc->stats().pool.high_water;
+}
+
 TEST_P(PoolSteadyState, NoHeapAllocationsAfterWarmup)
 {
     const CodecId codec = GetParam();
     const CodecConfig cfg = pool_config();
-    constexpr int kWarmup = 12;  // covers a full GOP's frame types
-    constexpr int kSteady = 12;
 
     std::unique_ptr<VideoEncoder> enc = make_encoder(codec, cfg).value();
     std::unique_ptr<VideoDecoder> dec = make_decoder(codec, cfg).value();
@@ -169,6 +182,18 @@ TEST_P(PoolSteadyState, NoHeapAllocationsAfterWarmup)
         << "decoder allocated in steady state";
     EXPECT_GT(enc->stats().pool.buffer_reuses, 0);
     EXPECT_GT(dec->stats().pool.buffer_reuses, 0);
+
+    // Every buffer the encoder holds must come from the pool, or the
+    // zero above proves nothing. The three encoders share their frame
+    // scaffolding (lookahead copies, reconstruction, two references at
+    // refs=2); the quarter-sample encoders additionally hold one
+    // pooled centre half-sample plane per reference, so their
+    // high-water mark is MPEG-2's plus exactly one buffer per held
+    // reference.
+    const s64 held_refs = codec == CodecId::kMpeg2 ? 0 : 2;
+    EXPECT_EQ(enc->stats().pool.high_water,
+              encoder_high_water(CodecId::kMpeg2, cfg) + held_refs)
+        << "encoder holds buffers the pool does not account for";
 }
 
 TEST_P(PoolSteadyState, DisabledPoolReportsNoActivity)
@@ -266,6 +291,75 @@ TEST_P(PoolInvariance, PoolingInvisibleAcrossThreadsAndSimd)
                     }
                 }
             }
+        }
+    }
+}
+
+TEST_P(PoolInvariance, StaleRecycledContentsNeverReachTheStream)
+{
+    // Recycled buffers keep whatever their last user wrote. Seed an
+    // arena with buffers of every plane geometry the codecs use, filled
+    // with junk, so that every acquisition — the first picture's
+    // included — recycles junk; the stream and the decoded pixels must
+    // still equal an unpooled run's.
+    const CodecId codec = GetParam();
+    CodecConfig cfg = pool_config();
+    FrameArena arena;
+    {
+        FramePool dirty;
+        dirty.adopt(arena);
+        std::vector<Frame> junk;
+        for (int i = 0; i < 8; ++i) {
+            for (int border : {0, kRefBorder}) {
+                Frame f(cfg.width, cfg.height, border, &dirty);
+                for (int p = 0; p < 3; ++p) {
+                    Plane &plane = f.plane(p);
+                    for (int y = -plane.border();
+                         y < plane.height() + plane.border(); ++y) {
+                        std::memset(plane.row(y) - plane.left_pad(),
+                                    0x5A + 17 * (i + y + p),
+                                    static_cast<size_t>(plane.stride()));
+                    }
+                }
+                junk.push_back(std::move(f));
+            }
+        }
+    }
+
+    constexpr int kFrames = 8;
+    std::vector<Packet> packets;
+    std::unique_ptr<VideoEncoder> enc = make_encoder(codec, cfg).value();
+    enc->use_arena(arena);
+    SyntheticSource source(SequenceId::kPedestrianArea, cfg.width,
+                           cfg.height);
+    for (int i = 0; i < kFrames; ++i)
+        ASSERT_TRUE(enc->encode(source.next(), &packets).is_ok());
+    ASSERT_TRUE(enc->flush(&packets).is_ok());
+    EXPECT_GT(enc->stats().pool.buffer_reuses, 0);
+
+    cfg.frame_pool = false;
+    const PoolRun unpooled = pool_encode_decode(codec, cfg, kFrames);
+    ASSERT_EQ(packets.size(), unpooled.packets.size());
+    for (size_t i = 0; i < packets.size(); ++i) {
+        EXPECT_EQ(packets[i].data, unpooled.packets[i].data)
+            << "bitstream differs at packet " << i;
+    }
+
+    // The arena now holds the encoder's leftovers: decode through it.
+    cfg.frame_pool = true;
+    std::unique_ptr<VideoDecoder> dec = make_decoder(codec, cfg).value();
+    dec->use_arena(arena);
+    std::vector<Frame> decoded;
+    for (const Packet &p : packets)
+        ASSERT_TRUE(dec->decode(p, &decoded).is_ok());
+    ASSERT_TRUE(dec->flush(&decoded).is_ok());
+    ASSERT_EQ(decoded.size(), unpooled.decoded.size());
+    for (size_t i = 0; i < decoded.size(); ++i) {
+        for (int p = 0; p < 3; ++p) {
+            EXPECT_EQ(plane_sse(decoded[i].plane(p),
+                                unpooled.decoded[i].plane(p)),
+                      0u)
+                << "pixels differ at frame " << i << " plane " << p;
         }
     }
 }
