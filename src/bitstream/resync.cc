@@ -65,4 +65,31 @@ scan_resync_markers(const std::vector<u8> &data, int max_rows)
     return markers;
 }
 
+bool
+split_resilient_picture(const std::vector<u8> &data, int mb_rows,
+                        ResilientPicture *out)
+{
+    std::vector<ResyncMarker> markers;
+    int last_row = -1;
+    for (const ResyncMarker &m : scan_resync_markers(data, mb_rows)) {
+        if (m.row > last_row) {
+            markers.push_back(m);
+            last_row = m.row;
+        }
+    }
+    if (markers.empty())
+        return false;
+
+    out->header = unescape_emulation(data.data(), markers.front().pos);
+    out->rows.assign(static_cast<size_t>(mb_rows), ResyncSegment{});
+    for (size_t i = 0; i < markers.size(); ++i) {
+        const size_t begin = markers[i].pos + 4;
+        const size_t end =
+            i + 1 < markers.size() ? markers[i + 1].pos : data.size();
+        out->rows[static_cast<size_t>(markers[i].row)] = {
+            data.data() + begin, end - begin};
+    }
+    return true;
+}
+
 }  // namespace hdvb

@@ -11,9 +11,10 @@
  * byte <= 0x03 is prefixed with 0x03) guarantees the 4-byte marker
  * cannot occur inside an escaped segment, so on a clean stream the
  * scan below recovers exactly the encoder's segment boundaries. On a
- * corrupted stream the scan is a best-effort recovery tool: decoders
- * filter the candidates (strictly increasing rows) and conceal rows
- * whose segment is missing or fails to parse.
+ * corrupted stream the scan is a best-effort recovery tool:
+ * split_resilient_picture filters the candidates (strictly increasing
+ * rows), and decoders conceal rows whose segment is missing or fails
+ * to parse.
  */
 #ifndef HDVB_BITSTREAM_RESYNC_H
 #define HDVB_BITSTREAM_RESYNC_H
@@ -57,6 +58,30 @@ struct ResyncMarker {
  */
 std::vector<ResyncMarker> scan_resync_markers(const std::vector<u8> &data,
                                               int max_rows);
+
+/** One macroblock row's escaped segment in a resilient packet. */
+struct ResyncSegment {
+    const u8 *data = nullptr;  ///< null when no marker claims the row
+    size_t size = 0;           ///< may be 0 even when data is set
+};
+
+/** A resilient picture packet split at its resync markers. */
+struct ResilientPicture {
+    std::vector<u8> header;             ///< unescaped header bytes
+    std::vector<ResyncSegment> rows;    ///< one per macroblock row
+};
+
+/**
+ * Split resilient packet @p data of a picture @p mb_rows macroblock
+ * rows high: keep the marker candidates whose rows strictly increase,
+ * unescape the header bytes before the first, and map each kept
+ * marker to the bytes up to the next one (or the packet end). Returns
+ * false, leaving @p out unspecified, when no marker survives. The
+ * segments point into @p data and stay escaped, so decoders can
+ * unescape rows concurrently.
+ */
+bool split_resilient_picture(const std::vector<u8> &data, int mb_rows,
+                             ResilientPicture *out);
 
 }  // namespace hdvb
 

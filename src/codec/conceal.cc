@@ -51,4 +51,25 @@ conceal_mb_dc(Frame *dst, int mbx, int mby)
     dc_fill_block(&dst->cr(), mbx * 8, mby * 8, 8);
 }
 
+bool
+tally_resilient_rows(const std::vector<RowOutcome> &rows, int mb_w,
+                     DecodeStats *stats)
+{
+    bool any_ok = false;
+    bool in_error = false;
+    for (const RowOutcome &r : rows) {
+        if (r.ok) {
+            if (in_error) {
+                ++stats->resyncs;
+                in_error = false;
+            }
+            any_ok = true;
+        } else {
+            in_error = true;
+            stats->mbs_concealed += mb_w - r.bad_from;
+        }
+    }
+    return any_ok;
+}
+
 }  // namespace hdvb

@@ -9,6 +9,9 @@
 #ifndef HDVB_CODEC_CONCEAL_H
 #define HDVB_CODEC_CONCEAL_H
 
+#include <vector>
+
+#include "codec/codec.h"
 #include "video/frame.h"
 
 namespace hdvb {
@@ -23,6 +26,23 @@ void conceal_mb_from_ref(Frame *dst, const Frame &ref, int mbx, int mby);
  * for the top row, which has no neighbour).
  */
 void conceal_mb_dc(Frame *dst, int mbx, int mby);
+
+/** How one row of a resilient picture decoded. */
+struct RowOutcome {
+    bool ok = false;
+    /** On failure, the first macroblock column concealed (the rest of
+     * the row is concealed too). */
+    int bad_from = 0;
+};
+
+/**
+ * Fold one resilient picture's row outcomes into @p stats: every
+ * failed row conceals mb_w - bad_from macroblocks, and every good row
+ * after a failed one is a resync. Returns false when every row was
+ * lost.
+ */
+bool tally_resilient_rows(const std::vector<RowOutcome> &rows, int mb_w,
+                          DecodeStats *stats);
 
 }  // namespace hdvb
 

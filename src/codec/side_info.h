@@ -53,6 +53,16 @@ struct MbSideInfo {
     MotionVector bwd{};
 };
 
+/** A hint vector (quarter-sample) as a full-sample search candidate.
+ * Estimators clamp every candidate to their legal window, so even an
+ * out-of-range hint is safe. */
+inline MotionVector
+hint_full_pel(MotionVector quarter)
+{
+    return {static_cast<s16>(quarter.x >> 2),
+            static_cast<s16>(quarter.y >> 2)};
+}
+
 /** Side info for one whole decoded picture. */
 struct PictureSideInfo {
     s64 poc = 0;  ///< display index (Packet::poc)

@@ -94,6 +94,11 @@ class H264Decoder final : public DecoderBase
     bool decode_resilient_row(MbState &st, const std::vector<u8> &row,
                               int mby, int *bad_from);
     void conceal_row(Frame *frame, PictureType type, int from, int mby);
+    /** Conceal MB (st.mbx, st.mby): temporal from the newest
+     * reference, spatial DC in I pictures. */
+    void conceal_mb(const MbState &st);
+    /** Append @p picture to the DPB as the newest anchor. */
+    void push_reference(const Frame &picture);
 
     /** Parsed syntax of one MB for the two-phase parallel decode. */
     struct MbRec {
@@ -609,23 +614,28 @@ void
 H264Decoder::conceal_row(Frame *frame, PictureType type, int from,
                          int mby)
 {
-    const bool have_ref = !dpb_.empty();
     MbState st{};
     st.frame = frame;
     st.type = type;
     st.mby = mby;
-    Partition part = kPartGeom[kPart16x16][0];
     for (int mbx = from; mbx < mb_w_; ++mbx) {
         st.mbx = mbx;
-        if (type == PictureType::kI || !have_ref) {
-            conceal_mb_dc(frame, mbx, mby);
-            fill_binfo(st, true, -1, nullptr, 0, 0);
-        } else {
-            conceal_mb_from_ref(frame, dpb_.back(), mbx, mby);
-            fill_binfo(st, false, 0, &part, 1, 0);
-        }
-        mv_grid_[mby * mb_w_ + mbx] = MotionVector{};
+        conceal_mb(st);
     }
+}
+
+void
+H264Decoder::conceal_mb(const MbState &st)
+{
+    if (st.type == PictureType::kI || dpb_.empty()) {
+        conceal_mb_dc(st.frame, st.mbx, st.mby);
+        fill_binfo(st, true, -1, nullptr, 0, 0);
+    } else {
+        const Partition part16 = kPartGeom[kPart16x16][0];
+        conceal_mb_from_ref(st.frame, dpb_.back(), st.mbx, st.mby);
+        fill_binfo(st, false, 0, &part16, 1, 0);
+    }
+    mv_grid_[st.mby * mb_w_ + st.mbx] = MotionVector{};
 }
 
 bool
@@ -1032,28 +1042,31 @@ H264Decoder::recon_mb_rec(MbState &st, const MbRec &rec)
     }
 }
 
+void
+H264Decoder::push_reference(const Frame &picture)
+{
+    // P pictures read the newest refs anchors and B pictures the newest
+    // two. Evict before copying the newcomer in, so no more than that
+    // many references are ever held and the evicted buffers can be
+    // recycled for the copy.
+    const size_t max_dpb =
+        static_cast<size_t>(clamp(config().refs, 2, 16));
+    while (dpb_.size() >= max_dpb)
+        dpb_.pop_front();
+    Frame ref = new_frame(kRefBorder);
+    ref.copy_from(picture);
+    ref.extend_borders();
+    dpb_.push_back(std::move(ref));
+}
+
 Status
 H264Decoder::decode_picture_resilient(const Packet &packet, Frame *out)
 {
-    const CodecConfig &cfg = config();
-
-    const std::vector<ResyncMarker> candidates =
-        scan_resync_markers(packet.data, mb_h_);
-    std::vector<ResyncMarker> markers;
-    markers.reserve(candidates.size());
-    int prev_row = -1;
-    for (const ResyncMarker &m : candidates) {
-        if (m.row > prev_row) {
-            markers.push_back(m);
-            prev_row = m.row;
-        }
-    }
-    if (markers.empty())
+    ResilientPicture pic;
+    if (!split_resilient_picture(packet.data, mb_h_, &pic))
         return Status::corrupt_stream("no resync markers in h264 picture");
 
-    const std::vector<u8> header =
-        unescape_emulation(packet.data.data(), markers.front().pos);
-    BitReader hbr(header);
+    BitReader hbr(pic.header);
     const PictureType type = static_cast<PictureType>(hbr.get_bits(2));
     const int qp = static_cast<int>(hbr.get_bits(6));
     const bool deblock = hbr.get_bit() != 0;
@@ -1076,35 +1089,21 @@ H264Decoder::decode_picture_resilient(const Packet &packet, Frame *out)
     binfo_.clear();
     std::fill(mv_grid_.begin(), mv_grid_.end(), MotionVector{});
 
-    struct RowResult {
-        bool ok = false;
-        int bad_from = 0;
-    };
-    std::vector<RowResult> rows(static_cast<size_t>(mb_h_));
+    std::vector<RowOutcome> rows(static_cast<size_t>(mb_h_));
 
     if (pool_ != nullptr) {
-        // Two-phase parallel decode (see the file comment). Map each
-        // surviving marker to its row's byte segment first.
-        std::vector<std::pair<size_t, size_t>> segments(
-            static_cast<size_t>(mb_h_), {0, 0});
-        for (size_t i = 0; i < markers.size(); ++i) {
-            const size_t begin = markers[i].pos + 4;
-            const size_t end = i + 1 < markers.size()
-                                   ? markers[i + 1].pos
-                                   : packet.data.size();
-            segments[static_cast<size_t>(markers[i].row)] = {begin, end};
-        }
+        // Two-phase parallel decode (see the file comment).
         records_.resize(static_cast<size_t>(mb_w_) * mb_h_);
 
         // Phase 1: rows are independent entropy chunks — parse them
         // all concurrently.
         parallel_for(*pool_, mb_h_, [&](int mby, int) {
-            const auto &seg = segments[static_cast<size_t>(mby)];
-            if (seg.second <= seg.first)
+            const ResyncSegment &seg = pic.rows[static_cast<size_t>(mby)];
+            if (seg.size == 0)
                 return;
-            const std::vector<u8> row = unescape_emulation(
-                packet.data.data() + seg.first, seg.second - seg.first);
-            RowResult &r = rows[static_cast<size_t>(mby)];
+            const std::vector<u8> row =
+                unescape_emulation(seg.data, seg.size);
+            RowOutcome &r = rows[static_cast<size_t>(mby)];
             r.ok = parse_resilient_row(row, out->luma(), type, mby,
                                        records_.data() + mby * mb_w_,
                                        &r.bad_from);
@@ -1121,23 +1120,15 @@ H264Decoder::decode_picture_resilient(const Packet &packet, Frame *out)
             st.frame = out;
             st.type = type;
             st.mby = mby;
-            const RowResult &r = rows[static_cast<size_t>(mby)];
+            const RowOutcome &r = rows[static_cast<size_t>(mby)];
             const int good = r.ok ? mb_w_ : r.bad_from;
-            const Partition part16 = kPartGeom[kPart16x16][0];
             for (int mbx = 0; mbx < mb_w_; ++mbx) {
                 wf.wait_above(mby, mbx);
                 st.mbx = mbx;
-                if (mbx < good) {
+                if (mbx < good)
                     recon_mb_rec(st, records_[mby * mb_w_ + mbx]);
-                } else if (type == PictureType::kI || dpb_.empty()) {
-                    conceal_mb_dc(out, mbx, mby);
-                    fill_binfo(st, true, -1, nullptr, 0, 0);
-                    mv_grid_[mby * mb_w_ + mbx] = MotionVector{};
-                } else {
-                    conceal_mb_from_ref(out, dpb_.back(), mbx, mby);
-                    fill_binfo(st, false, 0, &part16, 1, 0);
-                    mv_grid_[mby * mb_w_ + mbx] = MotionVector{};
-                }
+                else
+                    conceal_mb(st);
                 wf.publish(mby, mbx + 1);
             }
         });
@@ -1145,56 +1136,28 @@ H264Decoder::decode_picture_resilient(const Packet &packet, Frame *out)
         MbState st{};
         st.frame = out;
         st.type = type;
-        size_t k = 0;
         for (int mby = 0; mby < mb_h_; ++mby) {
-            RowResult &r = rows[static_cast<size_t>(mby)];
-            if (k < markers.size() && markers[k].row == mby) {
-                const size_t begin = markers[k].pos + 4;
-                const size_t end = k + 1 < markers.size()
-                                       ? markers[k + 1].pos
-                                       : packet.data.size();
-                const std::vector<u8> row = unescape_emulation(
-                    packet.data.data() + begin, end - begin);
+            const ResyncSegment &seg = pic.rows[static_cast<size_t>(mby)];
+            RowOutcome &r = rows[static_cast<size_t>(mby)];
+            if (seg.data != nullptr) {
+                const std::vector<u8> row =
+                    unescape_emulation(seg.data, seg.size);
                 r.ok = decode_resilient_row(st, row, mby, &r.bad_from);
-                ++k;
             }
             if (!r.ok)
                 conceal_row(out, type, r.bad_from, mby);
         }
     }
 
-    bool any_ok = false;
-    bool in_error = false;
-    for (int mby = 0; mby < mb_h_; ++mby) {
-        const RowResult &r = rows[static_cast<size_t>(mby)];
-        if (r.ok) {
-            if (in_error) {
-                ++stats_.resyncs;
-                in_error = false;
-            }
-            any_ok = true;
-        } else {
-            in_error = true;
-            stats_.mbs_concealed += mb_w_ - r.bad_from;
-        }
-    }
     quant_i_ = quant_p_ = nullptr;
-    if (!any_ok)
+    if (!tally_resilient_rows(rows, mb_w_, &stats_))
         return Status::corrupt_stream("every row of the picture lost");
 
     if (deblock)
         deblock_picture(out, binfo_, qp, config().approx);
 
-    if (type != PictureType::kB) {
-        Frame ref = new_frame(kRefBorder);
-        ref.copy_from(*out);
-        ref.extend_borders();
-        dpb_.push_back(std::move(ref));
-        const size_t max_dpb =
-            static_cast<size_t>(clamp(cfg.refs, 2, 16)) + 1;
-        while (dpb_.size() > max_dpb)
-            dpb_.pop_front();
-    }
+    if (type != PictureType::kB)
+        push_reference(*out);
     return Status::ok();
 }
 
@@ -1204,7 +1167,6 @@ H264Decoder::decode_picture(const Packet &packet, Frame *out)
     if (config().error_resilience)
         return decode_picture_resilient(packet, out);
 
-    const CodecConfig &cfg = config();
     RangeDecoder rc(packet.data);
     rc_ = &rc;
     ctx_.reset();
@@ -1267,16 +1229,8 @@ H264Decoder::decode_picture(const Packet &packet, Frame *out)
     if (deblock)
         deblock_picture(out, binfo_, qp, config().approx);
 
-    if (type != PictureType::kB) {
-        Frame ref = new_frame(kRefBorder);
-        ref.copy_from(*out);
-        ref.extend_borders();
-        dpb_.push_back(std::move(ref));
-        const size_t max_dpb =
-            static_cast<size_t>(clamp(cfg.refs, 2, 16)) + 1;
-        while (dpb_.size() > max_dpb)
-            dpb_.pop_front();
-    }
+    if (type != PictureType::kB)
+        push_reference(*out);
     return Status::ok();
 }
 

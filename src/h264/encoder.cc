@@ -61,15 +61,6 @@ const Partition kPartGeom[4][4] = {
 
 const int kPartCount[4] = {1, 2, 2, 4};
 
-/** Hint vector (quarter-sample) as a clamped-by-the-estimator
- * full-sample search candidate. */
-inline MotionVector
-hint_full_pel(MotionVector quarter)
-{
-    return {static_cast<s16>(quarter.x >> 2),
-            static_cast<s16>(quarter.y >> 2)};
-}
-
 class H264Encoder final : public EncoderBase
 {
   public:

@@ -1,7 +1,8 @@
 /**
  * @file
- * MPEG-2-class encoder: EPZS motion estimation, half-sample MC, 8x8 DCT
- * with the MPEG weighting matrices, run/level VLC entropy coding.
+ * MPEG-class encoder: EPZS motion estimation, sub-sample refinement,
+ * 8x8 DCT with the MPEG weighting matrices, run/level VLC entropy
+ * coding; the codec's MpegSyntax selects the tools.
  *
  * Encoding is a two-phase pipeline so CodecConfig::threads can
  * parallelise the expensive part without touching a single emitted bit:
@@ -11,71 +12,48 @@
  * replays the records through the entropy coder in raster order. The
  * same two phases run back-to-back on the caller's thread when
  * threads == 1, so the bitstream is byte-identical for any thread
- * count (and identical to the historical single-phase encoder).
+ * count.
  */
-#include "mpeg2/mpeg2.h"
-
-#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "bitstream/bit_writer.h"
 #include "bitstream/exp_golomb.h"
 #include "bitstream/resync.h"
-#include "codec/mpeg_block.h"
 #include "codec/run_level.h"
 #include "codec/side_info.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/wavefront.h"
 #include "dsp/approx.h"
-#include "dsp/quant.h"
-#include "mc/mc.h"
 #include "me/me.h"
+#include "mpeg/macroblock.h"
 
 namespace hdvb {
 
 namespace {
 
-using mpeg2::kDcPredReset;
-using mpeg2::kDcStep;
+using namespace hdvb::mpeg;
 
-/** Hint vector (quarter-sample) as a full-sample search candidate; the
- * estimator clamps all candidates to its legal window, so even an
- * out-of-range hint is safe. */
-inline MotionVector
-hint_full_pel(MotionVector quarter)
-{
-    return {static_cast<s16>(quarter.x >> 2),
-            static_cast<s16>(quarter.y >> 2)};
-}
-
-/** Per-macroblock prediction buffers (luma 16x16, chroma 8x8 each). */
-struct PredBuffers {
-    Pixel luma[16 * 16];
-    Pixel cb[8 * 8];
-    Pixel cr[8 * 8];
-};
-
-class Mpeg2Encoder final : public EncoderBase
+class MpegEncoder final : public EncoderBase
 {
   public:
-    explicit Mpeg2Encoder(const CodecConfig &cfg)
+    MpegEncoder(const MpegSyntax &syntax, const CodecConfig &cfg)
         : EncoderBase(cfg),
+          syntax_(syntax),
           dsp_(get_dsp(cfg.simd)),
-          intra_quant_(kMpegIntraMatrix, cfg.qscale, 32, 4),
-          // The MPEG-2-era inter quantiser truncates (narrow dead-zone
-          // offset), one of the RD gaps to the later codecs.
-          inter_quant_(kMpegInterMatrix, cfg.qscale, 8, 4),
-          intra_rl_(RunLevelCoder::get(RunLevelProfile::kMpeg2Intra)),
-          inter_rl_(RunLevelCoder::get(RunLevelProfile::kMpeg2Inter)),
-          me_(MeParams{cfg.me_range, cfg.qscale * 16, 1, &dsp_,
-                       cfg.approx}),
-          dead_zone_sad_(mpeg_dead_zone_sad(cfg.qscale, 4, cfg.approx)),
+          quant_(syntax, cfg.qscale),
+          intra_rl_(RunLevelCoder::get(syntax.intra_rl)),
+          inter_rl_(RunLevelCoder::get(syntax.inter_rl)),
+          me_(MeParams{cfg.me_range, cfg.qscale * 16, syntax.mv_shift,
+                       &dsp_, cfg.approx}),
+          dead_zone_sad_(mpeg_dead_zone_sad(
+              cfg.qscale, syntax.quant_step_shift, cfg.approx)),
+          four_mv_(syntax.four_mv && cfg.four_mv),
           mb_w_(cfg.width / 16),
           mb_h_(cfg.height / 16),
           anchor_mvs_(static_cast<size_t>(mb_w_) * mb_h_),
-          cur_mvs_(static_cast<size_t>(mb_w_) * mb_h_),
+          mv_grid_(static_cast<size_t>(mb_w_) * mb_h_),
           records_(static_cast<size_t>(mb_w_) * mb_h_),
           pool_(cfg.threads > 1
                     ? std::make_unique<ThreadPool>(cfg.threads)
@@ -83,7 +61,7 @@ class Mpeg2Encoder final : public EncoderBase
     {
     }
 
-    const char *name() const override { return "mpeg2"; }
+    const char *name() const override { return syntax_.name; }
 
   protected:
     std::vector<u8> encode_picture(const Frame &src,
@@ -94,19 +72,17 @@ class Mpeg2Encoder final : public EncoderBase
     struct MbRecord {
         enum Kind : u8 { kIntra, kInter, kSkip };
         Kind kind = kIntra;
-        u8 mode = 0;  ///< B-picture inter mode (mpeg2::kB*)
+        u8 b_mode = 0;  ///< B pictures: BMode
         u8 cbp = 0;
-        bool use_fwd = false;
-        bool use_bwd = false;
-        MotionVector fwd;  // half-sample units
-        MotionVector bwd;
+        MbMotion motion;
+        MotionVector pred_p;  ///< P pictures: vector predictor
         s16 dc[6] = {};            ///< intra DC levels (absolute)
-        Coeff levels[6][64] = {};  ///< quantised coefficients
+        alignas(32) Coeff levels[6][64] = {};  ///< quantised levels
     };
 
-    /** Analysis-side row-scoped predictor state. */
+    /** Analysis-side row-scoped vector chains. */
     struct RowState {
-        MotionVector left_fwd;  // half-sample units
+        MotionVector left_fwd;
         MotionVector left_bwd;
     };
 
@@ -125,45 +101,58 @@ class Mpeg2Encoder final : public EncoderBase
         }
     };
 
+    void write_header(const Frame &src, PictureType type);
     void analyze_picture(const Frame &src, PictureType type);
     void analyze_mb(RowState &rs, const Frame &src, PictureType type,
                     int mbx, int mby, MbRecord &rec);
     void analyze_intra_mb(RowState &rs, const Frame &src, int mbx,
                           int mby, MbRecord &rec);
     void analyze_inter_mb(RowState &rs, const Frame &src,
-                          PictureType type, int mode, MotionVector fwd,
-                          MotionVector bwd, int mbx, int mby,
-                          MbRecord &rec);
+                          PictureType type, int b_mode,
+                          const MbMotion &motion, MotionVector pred_p,
+                          int mbx, int mby, MbRecord &rec);
     void write_mb(BitWriter &bw, WriteState &ws, const MbRecord &rec,
                   PictureType type) const;
 
-    MeResult estimate(const Frame &src, const Frame &ref, int mbx,
-                      int mby, MotionVector pred_sub,
+    MeResult estimate(const Frame &src, const Frame &ref,
+                      const Plane &centre, int x0, int y0, int size,
+                      MotionVector pred_sub,
                       const std::vector<MotionVector> &cands) const;
-    void build_pred(const Frame &fwd_ref, const Frame *bwd_ref,
-                    MotionVector fwd, MotionVector bwd, int mbx,
-                    int mby, PredBuffers *pred) const;
     int intra_cost(const Frame &src, int mbx, int mby) const;
     std::vector<MotionVector> gather_candidates(const RowState &rs,
                                                 int mbx, int mby,
                                                 bool backward) const;
 
+    /** @p mv in full samples (toward minus infinity). */
+    MotionVector
+    full_pel(MotionVector mv) const
+    {
+        return {static_cast<s16>(mv.x >> syntax_.mv_shift),
+                static_cast<s16>(mv.y >> syntax_.mv_shift)};
+    }
+
+    const MpegSyntax &syntax_;
     const Dsp &dsp_;
-    MpegQuantizer intra_quant_;
-    MpegQuantizer inter_quant_;
+    const Quantizers quant_;
     const RunLevelCoder &intra_rl_;
     const RunLevelCoder &inter_rl_;
     MotionEstimator me_;
     /** approx >= 1: per-8x8 SAD below which the residual is coded as
      * all-zero without running fdct + quant (0 disables). */
     int dead_zone_sad_;
+    bool four_mv_;  ///< 4MV trials on (syntax and config allow it)
     int mb_w_;
     int mb_h_;
 
     Frame prev_anchor_;  ///< forward reference for B pictures
     Frame last_anchor_;  ///< forward ref for P, backward ref for B
+    /** Centre half-sample planes of the two anchors, built once each
+     * (see build_centre_plane) for quarter-sample searches. */
+    Plane prev_centre_;
+    Plane last_centre_;
     std::vector<MotionVector> anchor_mvs_;  ///< full-pel, last anchor
-    std::vector<MotionVector> cur_mvs_;     ///< full-pel, current pic
+    /** The current picture's vectors (see MpegMeSeeds for which). */
+    std::vector<MotionVector> mv_grid_;
     Frame recon_;
     std::vector<MbRecord> records_;   ///< one per MB, raster order
     std::unique_ptr<ThreadPool> pool_;  ///< band pool (threads > 1)
@@ -181,29 +170,39 @@ class Mpeg2Encoder final : public EncoderBase
     }
 };
 
-std::vector<u8>
-Mpeg2Encoder::encode_picture(const Frame &src, PictureType type)
+void
+MpegEncoder::write_header(const Frame &src, PictureType type)
 {
     const CodecConfig &cfg = config();
+    bw_.put_bits(static_cast<u32>(type), 2);
+    bw_.put_bits(static_cast<u32>(cfg.qscale), 5);
+    if (syntax_.header_tool_flags) {
+        bw_.put_bit(cfg.qpel);
+        bw_.put_bit(cfg.four_mv);
+    }
+    bw_.put_bits(static_cast<u32>(src.poc() & 0xFFFF), 16);
+}
+
+std::vector<u8>
+MpegEncoder::encode_picture(const Frame &src, PictureType type)
+{
     recon_ = new_frame(kRefBorder);
-    std::fill(cur_mvs_.begin(), cur_mvs_.end(), MotionVector{});
+    std::fill(mv_grid_.begin(), mv_grid_.end(), MotionVector{});
 
     hint_pic_ = take_hints(src, type);
     analyze_picture(src, type);
     hint_pic_.reset();
 
     std::vector<u8> out;
-    if (cfg.error_resilience) {
-        // Resilient layout: escaped header, then a resync marker plus
-        // an escaped, sentinel-terminated segment per macroblock row.
-        // Skip runs are row-scoped so each segment parses standalone.
-        bw_.clear();
-        bw_.put_bits(static_cast<u32>(type), 2);
-        bw_.put_bits(static_cast<u32>(cfg.qscale), 5);
-        bw_.put_bits(static_cast<u32>(src.poc() & 0xFFFF), 16);
+    bw_.clear();
+    write_header(src, type);
+    if (config().error_resilience) {
+        // Resilient layout (see src/bitstream/resync.h): escaped
+        // header, then per row a resync marker plus an escaped,
+        // sentinel-terminated segment with row-scoped skip runs, so
+        // each segment parses standalone.
         bw_.finish_into(&wbuf_);
         escape_emulation(wbuf_.data(), wbuf_.size(), &out);
-
         for (int mby = 0; mby < mb_h_; ++mby) {
             WriteState ws;
             for (int mbx = 0; mbx < mb_w_; ++mbx)
@@ -216,10 +215,6 @@ Mpeg2Encoder::encode_picture(const Frame &src, PictureType type)
             escape_emulation(wbuf_.data(), wbuf_.size(), &out);
         }
     } else {
-        bw_.clear();
-        bw_.put_bits(static_cast<u32>(type), 2);
-        bw_.put_bits(static_cast<u32>(cfg.qscale), 5);
-        bw_.put_bits(static_cast<u32>(src.poc() & 0xFFFF), 16);
         WriteState ws;
         for (int mby = 0; mby < mb_h_; ++mby) {
             ws.reset_row();
@@ -235,13 +230,20 @@ Mpeg2Encoder::encode_picture(const Frame &src, PictureType type)
     if (type != PictureType::kB) {
         prev_anchor_ = std::move(last_anchor_);
         last_anchor_ = std::move(recon_);
-        anchor_mvs_ = cur_mvs_;
+        if (syntax_.mv_shift == 2) {
+            prev_centre_ = std::move(last_centre_);
+            last_centre_ = new_plane(kRefBorder);
+            build_centre_plane(last_anchor_.luma(), &last_centre_, dsp_,
+                               pool_.get());
+        }
+        for (size_t i = 0; i < mv_grid_.size(); ++i)
+            anchor_mvs_[i] = full_pel(mv_grid_[i]);
     }
     return out;
 }
 
 void
-Mpeg2Encoder::analyze_picture(const Frame &src, PictureType type)
+MpegEncoder::analyze_picture(const Frame &src, PictureType type)
 {
     if (pool_ == nullptr || mb_h_ < 2) {
         for (int mby = 0; mby < mb_h_; ++mby) {
@@ -255,10 +257,10 @@ Mpeg2Encoder::analyze_picture(const Frame &src, PictureType type)
 
     // One band per MB row, wavefront-ordered: before MB (x, y) runs,
     // row y-1 must be done through column x+1 (its above-right
-    // neighbour), which covers every cross-row read — the cur_mvs_
-    // candidates of gather_candidates(). Row-local predictors live in
-    // RowState, so bands share no mutable state beyond the published
-    // per-MB results.
+    // neighbour), which covers every cross-row read — the mv_grid_
+    // predictor and candidates. Row-local chains live in RowState, so
+    // bands share no mutable state beyond the published per-MB
+    // results.
     WavefrontScheduler wf(mb_h_, mb_w_);
     parallel_for(*pool_, mb_h_, [&](int mby, int) {
         WavefrontRowGuard guard(wf, mby);
@@ -273,86 +275,76 @@ Mpeg2Encoder::analyze_picture(const Frame &src, PictureType type)
 }
 
 std::vector<MotionVector>
-Mpeg2Encoder::gather_candidates(const RowState &rs, int mbx, int mby,
-                                bool backward) const
+MpegEncoder::gather_candidates(const RowState &rs, int mbx, int mby,
+                               bool backward) const
 {
     std::vector<MotionVector> cands;
     cands.reserve(4);
     const int idx = mby * mb_w_ + mbx;
-    const MotionVector left = backward ? rs.left_bwd : rs.left_fwd;
-    cands.push_back({static_cast<s16>(left.x >> 1),
-                     static_cast<s16>(left.y >> 1)});
+    if (syntax_.me_seeds == MpegMeSeeds::kRowChain)
+        cands.push_back(full_pel(backward ? rs.left_bwd : rs.left_fwd));
+    else if (mbx > 0)
+        cands.push_back(full_pel(mv_grid_[idx - 1]));
     if (mby > 0) {
-        cands.push_back(cur_mvs_[idx - mb_w_]);
+        cands.push_back(full_pel(mv_grid_[idx - mb_w_]));
         if (mbx + 1 < mb_w_)
-            cands.push_back(cur_mvs_[idx - mb_w_ + 1]);
+            cands.push_back(full_pel(mv_grid_[idx - mb_w_ + 1]));
     }
     cands.push_back(anchor_mvs_[idx]);  // collocated (temporal)
     return cands;
 }
 
 MeResult
-Mpeg2Encoder::estimate(const Frame &src, const Frame &ref, int mbx,
-                       int mby, MotionVector pred_sub,
-                       const std::vector<MotionVector> &cands) const
+MpegEncoder::estimate(const Frame &src, const Frame &ref,
+                      const Plane &centre, int x0, int y0, int size,
+                      MotionVector pred_sub,
+                      const std::vector<MotionVector> &cands) const
 {
     MeBlock blk;
     blk.cur = &src.luma();
     blk.ref = &ref.luma();
-    blk.x0 = mbx * 16;
-    blk.y0 = mby * 16;
-    blk.w = 16;
-    blk.h = 16;
+    blk.x0 = x0;
+    blk.y0 = y0;
+    blk.w = size;
+    blk.h = size;
     const MeResult full = me_.epzs(blk, pred_sub, cands);
-    const MotionVector start{static_cast<s16>(full.mv.x * 2),
-                             static_cast<s16>(full.mv.y * 2)};
-    if (me_.params().approx >= 1 &&
-        full.sad < me_.exit_threshold(blk)) {
+    const MotionVector start{
+        static_cast<s16>(full.mv.x * (1 << syntax_.mv_shift)),
+        static_cast<s16>(full.mv.y * (1 << syntax_.mv_shift))};
+    const int approx = me_.params().approx;
+    if (approx >= 1 && full.sad < me_.exit_threshold(blk)) {
         // The full-pel match is already under the exit threshold:
-        // half-pel refinement cannot buy enough to matter at this
+        // sub-sample refinement cannot buy enough to matter at this
         // approximation level.
         MeResult r = full;
         r.mv = start;
         return r;
     }
-    return subpel_refine(
-        blk, start, pred_sub, me_.params(), {1}, /*use_satd=*/false,
-        [&](MotionVector mv, Pixel *dst, int ds) {
-            mc_halfpel(ref.luma(), blk.x0, blk.y0, mv, dst, ds, 16, 16,
-                       dsp_);
-        });
-}
-
-void
-Mpeg2Encoder::build_pred(const Frame &fwd_ref, const Frame *bwd_ref,
-                         MotionVector fwd, MotionVector bwd, int mbx,
-                         int mby, PredBuffers *pred) const
-{
-    const int lx = mbx * 16;
-    const int ly = mby * 16;
-    const int cx = mbx * 8;
-    const int cy = mby * 8;
-    mc_halfpel(fwd_ref.luma(), lx, ly, fwd, pred->luma, 16, 16, 16,
-               dsp_);
-    const MotionVector fc = chroma_mv_from_halfpel(fwd);
-    mc_halfpel(fwd_ref.cb(), cx, cy, fc, pred->cb, 8, 8, 8, dsp_);
-    mc_halfpel(fwd_ref.cr(), cx, cy, fc, pred->cr, 8, 8, 8, dsp_);
-    if (bwd_ref != nullptr) {
-        PredBuffers back;
-        mc_halfpel(bwd_ref->luma(), lx, ly, bwd, back.luma, 16, 16, 16,
-                   dsp_);
-        const MotionVector bc = chroma_mv_from_halfpel(bwd);
-        mc_halfpel(bwd_ref->cb(), cx, cy, bc, back.cb, 8, 8, 8, dsp_);
-        mc_halfpel(bwd_ref->cr(), cx, cy, bc, back.cr, 8, 8, 8, dsp_);
-        dsp_.avg_rect(pred->luma, 16, pred->luma, 16, back.luma, 16, 16,
-                      16);
-        dsp_.avg_rect(pred->cb, 8, pred->cb, 8, back.cb, 8, 8, 8);
-        dsp_.avg_rect(pred->cr, 8, pred->cr, 8, back.cr, 8, 8, 8);
+    if (syntax_.mv_shift == 1) {
+        return subpel_refine(
+            blk, start, pred_sub, me_.params(), {1}, /*use_satd=*/false,
+            [&](MotionVector mv, Pixel *dst, int ds) {
+                mc_halfpel(ref.luma(), x0, y0, mv, dst, ds, size, size,
+                           dsp_);
+            });
     }
+    // mc_qpel_tap's lattice, compared in place (see QpelSearchWindow).
+    const QpelSearchWindow win(ref.luma(), centre, x0, y0, size, size,
+                               start, dsp_);
+    const auto view = [&](MotionVector mv, Pixel *scratch, int ss) {
+        return win.predict(mv, scratch, ss);
+    };
+    // Half-sample steps only without qpel, and at approx >= 2, which
+    // halves the candidates per refined block.
+    return config().qpel && approx < 2
+               ? subpel_refine_views(blk, start, pred_sub, me_.params(),
+                                     {2, 1}, /*use_satd=*/false, view)
+               : subpel_refine_views(blk, start, pred_sub, me_.params(),
+                                     {2}, /*use_satd=*/false, view);
 }
 
 int
-Mpeg2Encoder::intra_cost(const Frame &src, int mbx, int mby) const
+MpegEncoder::intra_cost(const Frame &src, int mbx, int mby) const
 {
     const Plane &luma = src.luma();
     int sum = 0;
@@ -375,24 +367,21 @@ Mpeg2Encoder::intra_cost(const Frame &src, int mbx, int mby) const
 }
 
 void
-Mpeg2Encoder::analyze_mb(RowState &rs, const Frame &src,
-                         PictureType type, int mbx, int mby,
-                         MbRecord &rec)
+MpegEncoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
+                        int mbx, int mby, MbRecord &rec)
 {
     if (type == PictureType::kI) {
         analyze_intra_mb(rs, src, mbx, mby, rec);
         return;
     }
 
-    const Frame &fwd_ref =
-        type == PictureType::kP ? last_anchor_ : prev_anchor_;
-
-    // Analysis-reuse hints, when the transcode engine wired a HintMap:
-    // a decode-side intra MB goes straight to intra, a decode-side
-    // inter MB seeds its vector as a search candidate and skips the
-    // intra trial, and a B MB searches only the hinted direction(s).
-    // Every pruned branch keeps a legal fallback, so hints never make
-    // the stream undecodable — only cheaper to produce.
+    // Analysis-reuse hints (see src/codec/side_info.h): decode-side
+    // intra goes straight to intra, a decode-side vector is seeded as
+    // a search candidate and the intra trial plus the 4MV trial are
+    // pruned, and B MBs search only the hinted direction(s). Each
+    // pruned branch keeps a legal fallback, so hints never make the
+    // stream undecodable — only cheaper to produce; a null hint runs
+    // the full analysis.
     const MbSideInfo *hint = hint_mb(mbx, mby);
     if (hint != nullptr && hint->mode == MbSideInfo::kIntra) {
         analyze_intra_mb(rs, src, mbx, mby, rec);
@@ -400,22 +389,56 @@ Mpeg2Encoder::analyze_mb(RowState &rs, const Frame &src,
     }
     const int icost =
         hint != nullptr ? INT32_MAX : intra_cost(src, mbx, mby);
+    const MeParams &mp = me_.params();
 
     if (type == PictureType::kP) {
+        const MotionVector pred =
+            p_mv_pred(syntax_, config().error_resilience, mv_grid_,
+                      mb_w_, mbx, mby);
         std::vector<MotionVector> cands =
             gather_candidates(rs, mbx, mby, false);
         if (hint != nullptr)
             cands.push_back(hint_full_pel(hint->fwd));
-        const MeResult res =
-            estimate(src, fwd_ref, mbx, mby, rs.left_fwd, cands);
-        cur_mvs_[mby * mb_w_ + mbx] = {static_cast<s16>(res.mv.x >> 1),
-                                       static_cast<s16>(res.mv.y >> 1)};
-        if (icost < res.cost) {
+        const MeResult r16 = estimate(src, last_anchor_, last_centre_,
+                                      mbx * 16, mby * 16, 16, pred,
+                                      cands);
+
+        MbMotion motion;
+        for (MotionVector &mv : motion.fwd)
+            mv = r16.mv;
+        // The hint is a 16x16 seed, so trust it and skip the 4MV
+        // split trial (the decoder's 4MV collapses to one vector).
+        // approx >= 2 also prunes the trial — four separate 8x8
+        // searches plus refinements for a rate win the coarse
+        // quantiser rarely cashes in — unless the 16x16 match is bad.
+        const bool try_four_mv =
+            four_mv_ && hint == nullptr &&
+            (mp.approx < 2 || r16.sad >= (256 << mp.approx) * 4);
+        if (try_four_mv) {
+            // 4MV: refine each 8x8 quadrant; adopt if the summed cost
+            // beats 16x16 plus the extra vector overhead.
+            MeResult sub[4];
+            int cost4 = (mp.lambda16 * 40) >> 4;
+            std::vector<MotionVector> c8 = cands;
+            c8.push_back(full_pel(r16.mv));
+            for (int b = 0; b < 4; ++b) {
+                sub[b] = estimate(src, last_anchor_, last_centre_,
+                                  mbx * 16 + (b & 1) * 8,
+                                  mby * 16 + (b >> 1) * 8, 8, pred, c8);
+                cost4 += sub[b].cost;
+            }
+            if (cost4 < r16.cost) {
+                motion.four = true;
+                for (int b = 0; b < 4; ++b)
+                    motion.fwd[b] = sub[b].mv;
+            }
+        }
+
+        if (!motion.four && icost < r16.cost) {
             analyze_intra_mb(rs, src, mbx, mby, rec);
             return;
         }
-        analyze_inter_mb(rs, src, type, mpeg2::kPInter, res.mv, {}, mbx,
-                         mby, rec);
+        analyze_inter_mb(rs, src, type, 0, motion, pred, mbx, mby, rec);
         return;
     }
 
@@ -434,68 +457,76 @@ Mpeg2Encoder::analyze_mb(RowState &rs, const Frame &src,
             gather_candidates(rs, mbx, mby, false);
         if (hint != nullptr)
             cands.push_back(hint_full_pel(hint->fwd));
-        fwd = estimate(src, prev_anchor_, mbx, mby, rs.left_fwd, cands);
+        fwd = estimate(src, prev_anchor_, prev_centre_, mbx * 16,
+                       mby * 16, 16, rs.left_fwd, cands);
     }
     if (want_bwd) {
         std::vector<MotionVector> cands =
             gather_candidates(rs, mbx, mby, true);
         if (hint != nullptr)
             cands.push_back(hint_full_pel(hint->bwd));
-        bwd = estimate(src, last_anchor_, mbx, mby, rs.left_bwd, cands);
+        bwd = estimate(src, last_anchor_, last_centre_, mbx * 16,
+                       mby * 16, 16, rs.left_bwd, cands);
     }
 
     int best;
     int best_cost;
     if (want_fwd && want_bwd) {
+        MbMotion bi_motion;
+        bi_motion.use_bwd = true;
+        bi_motion.fwd[0] = fwd.mv;
+        bi_motion.bwd = bwd.mv;
         PredBuffers bi;
-        build_pred(prev_anchor_, &last_anchor_, fwd.mv, bwd.mv, mbx,
-                   mby, &bi);
+        predict_mb(syntax_, dsp_, prev_anchor_, last_anchor_, type,
+                   bi_motion, mbx, mby, &bi);
         const Plane &luma = src.luma();
         const int bi_sad = dsp_.sad16x16(luma.row(mby * 16) + mbx * 16,
                                          luma.stride(), bi.luma, 16);
-        const int bi_cost =
-            bi_sad +
-            mv_rate_cost(fwd.mv, rs.left_fwd, me_.params().lambda16) +
-            mv_rate_cost(bwd.mv, rs.left_bwd, me_.params().lambda16);
+        const int bi_cost = bi_sad +
+                            mv_rate_cost(fwd.mv, rs.left_fwd, mp.lambda16) +
+                            mv_rate_cost(bwd.mv, rs.left_bwd, mp.lambda16);
 
-        best = mpeg2::kBBi;
+        best = kBBi;
         best_cost = bi_cost;
         if (fwd.cost < best_cost) {
-            best = mpeg2::kBFwd;
+            best = kBFwd;
             best_cost = fwd.cost;
         }
         if (bwd.cost < best_cost) {
-            best = mpeg2::kBBwd;
+            best = kBBwd;
             best_cost = bwd.cost;
         }
     } else if (want_fwd) {
-        best = mpeg2::kBFwd;
+        best = kBFwd;
         best_cost = fwd.cost;
     } else {
-        best = mpeg2::kBBwd;
+        best = kBBwd;
         best_cost = bwd.cost;
     }
     if (icost < best_cost) {
         analyze_intra_mb(rs, src, mbx, mby, rec);
         return;
     }
-    analyze_inter_mb(rs, src, type, best, fwd.mv, bwd.mv, mbx, mby,
-                     rec);
+    MbMotion motion;
+    motion.use_fwd = best == kBFwd || best == kBBi;
+    motion.use_bwd = best == kBBwd || best == kBBi;
+    if (motion.use_fwd)
+        motion.fwd[0] = fwd.mv;
+    if (motion.use_bwd)
+        motion.bwd = bwd.mv;
+    analyze_inter_mb(rs, src, type, best, motion, {}, mbx, mby, rec);
 }
 
 void
-Mpeg2Encoder::analyze_intra_mb(RowState &rs, const Frame &src, int mbx,
-                               int mby, MbRecord &rec)
+MpegEncoder::analyze_intra_mb(RowState &rs, const Frame &src, int mbx,
+                              int mby, MbRecord &rec)
 {
     rec.kind = MbRecord::kIntra;
-    const int lx = mbx * 16;
-    const int ly = mby * 16;
     for (int b = 0; b < 6; ++b) {
-        const int comp = b < 4 ? 0 : b - 3;
-        const Plane &src_plane = src.plane(comp);
-        Plane &rec_plane = recon_.plane(comp);
-        const int x = b < 4 ? lx + (b & 1) * 8 : mbx * 8;
-        const int y = b < 4 ? ly + (b >> 1) * 8 : mby * 8;
+        const Plane &src_plane = src.plane(block_plane(b));
+        Plane &rec_plane = recon_.plane(block_plane(b));
+        int x, y;
+        block_origin(b, mbx, mby, &x, &y);
 
         Coeff *blk = rec.levels[b];
         for (int yy = 0; yy < 8; ++yy) {
@@ -506,68 +537,38 @@ Mpeg2Encoder::analyze_intra_mb(RowState &rs, const Frame &src, int mbx,
         dsp_.fdct8x8(blk);
         const int dc_level = clamp(div_round(blk[0], kDcStep), 0, 255);
         blk[0] = 0;
-        intra_quant_.quantize(blk);
+        quant_.intra.quantize(blk);
         rec.dc[b] = static_cast<s16>(dc_level);
 
         Pixel *dst = rec_plane.row(y) + x;
         zero_block8(dst, rec_plane.stride());
-        mpeg_recon_block(blk, intra_quant_, dc_level * kDcStep, dst,
+        mpeg_recon_block(blk, quant_.intra, dc_level * kDcStep, dst,
                          rec_plane.stride(), dsp_);
     }
-    // Intra interrupts the MV prediction chain.
+    // Intra interrupts the vector prediction chains.
     rs.left_fwd = rs.left_bwd = MotionVector{};
-    cur_mvs_[mby * mb_w_ + mbx] = MotionVector{};
+    mv_grid_[mby * mb_w_ + mbx] = MotionVector{};
 }
 
 void
-Mpeg2Encoder::analyze_inter_mb(RowState &rs, const Frame &src,
-                               PictureType type, int mode,
-                               MotionVector fwd, MotionVector bwd,
-                               int mbx, int mby, MbRecord &rec)
+MpegEncoder::analyze_inter_mb(RowState &rs, const Frame &src,
+                              PictureType type, int b_mode,
+                              const MbMotion &motion,
+                              MotionVector pred_p, int mbx, int mby,
+                              MbRecord &rec)
 {
     const bool is_b = type == PictureType::kB;
-    const Frame &fwd_ref = is_b ? prev_anchor_ : last_anchor_;
-    const Frame *bwd_ref = nullptr;
-    bool use_fwd = true;
-    bool use_bwd = false;
-    if (is_b) {
-        use_fwd = mode == mpeg2::kBFwd || mode == mpeg2::kBBi;
-        use_bwd = mode == mpeg2::kBBwd || mode == mpeg2::kBBi;
-        if (!use_fwd)
-            fwd = {};
-        if (!use_bwd)
-            bwd = {};
-        if (use_bwd)
-            bwd_ref = &last_anchor_;
-    }
-
     PredBuffers pred;
-    if (is_b && !use_fwd) {
-        // Backward-only prediction.
-        build_pred(last_anchor_, nullptr, bwd, {}, mbx, mby, &pred);
-    } else {
-        build_pred(fwd_ref, use_bwd ? bwd_ref : nullptr, fwd, bwd, mbx,
-                   mby, &pred);
-    }
+    predict_mb(syntax_, dsp_, prev_anchor_, last_anchor_, type, motion,
+               mbx, mby, &pred);
 
     // Transform/quantise the six residual blocks.
     int cbp = 0;
-    const int lx = mbx * 16;
-    const int ly = mby * 16;
     for (int b = 0; b < 6; ++b) {
-        const int comp = b < 4 ? 0 : b - 3;
-        const Plane &src_plane = src.plane(comp);
-        const int x = b < 4 ? lx + (b & 1) * 8 : mbx * 8;
-        const int y = b < 4 ? ly + (b >> 1) * 8 : mby * 8;
-        const Pixel *pp;
-        int ps;
-        if (b < 4) {
-            pp = pred.luma + (b >> 1) * 8 * 16 + (b & 1) * 8;
-            ps = 16;
-        } else {
-            pp = b == 4 ? pred.cb : pred.cr;
-            ps = 8;
-        }
+        const Plane &src_plane = src.plane(block_plane(b));
+        int x, y, ps;
+        block_origin(b, mbx, mby, &x, &y);
+        const Pixel *pp = pred.block(b, &ps);
         if (dead_zone_sad_ > 0 &&
             dsp_.sad_rect(src_plane.row(y) + x, src_plane.stride(), pp,
                           ps, 8, 8) < dead_zone_sad_) {
@@ -582,67 +583,55 @@ Mpeg2Encoder::analyze_inter_mb(RowState &rs, const Frame &src,
             fdct8x8_low4(rec.levels[b]);
         else
             dsp_.fdct8x8(rec.levels[b]);
-        if (inter_quant_.quantize(rec.levels[b]) != 0)
+        if (quant_.inter.quantize(rec.levels[b]) != 0)
             cbp |= 1 << b;
     }
 
     // Skip decision (must match the decoder's skip semantics):
     // P-skip copies the forward reference at (0,0); B-skip is
     // bi-prediction at (0,0).
+    const MotionVector fwd = motion.fwd[0];
     const bool skippable =
-        cbp == 0 &&
-        (is_b ? (mode == mpeg2::kBBi && fwd == MotionVector{} &&
-                 bwd == MotionVector{})
+        cbp == 0 && !motion.four &&
+        (is_b ? (b_mode == kBBi && fwd == MotionVector{} &&
+                 motion.bwd == MotionVector{})
               : fwd == MotionVector{});
+    MotionVector &grid = mv_grid_[mby * mb_w_ + mbx];
     if (skippable) {
         rec.kind = MbRecord::kSkip;
         rs.left_fwd = rs.left_bwd = MotionVector{};
-        cur_mvs_[mby * mb_w_ + mbx] = MotionVector{};
-        // Reconstruction = prediction.
+        grid = MotionVector{};
     } else {
         rec.kind = MbRecord::kInter;
-        rec.mode = static_cast<u8>(mode);
+        rec.b_mode = static_cast<u8>(b_mode);
         rec.cbp = static_cast<u8>(cbp);
-        rec.use_fwd = use_fwd;
-        rec.use_bwd = use_bwd;
-        rec.fwd = fwd;
-        rec.bwd = bwd;
-        rs.left_fwd = use_fwd ? fwd : MotionVector{};
-        rs.left_bwd = use_bwd ? bwd : MotionVector{};
-        cur_mvs_[mby * mb_w_ + mbx] = {
-            static_cast<s16>((use_fwd ? fwd.x : bwd.x) >> 1),
-            static_cast<s16>((use_fwd ? fwd.y : bwd.y) >> 1)};
+        rec.motion = motion;
+        rec.pred_p = pred_p;
+        rs.left_fwd = motion.use_fwd ? fwd : MotionVector{};
+        rs.left_bwd = motion.use_bwd ? motion.bwd : MotionVector{};
+        if (!is_b)
+            grid = fwd;
+        else if (syntax_.me_seeds == MpegMeSeeds::kRowChain)
+            grid = motion.use_fwd ? fwd : motion.bwd;
     }
 
     // Reconstruction: prediction plus coded residual.
-    for (int b = 0; b < 6; ++b) {
-        const int comp = b < 4 ? 0 : b - 3;
-        Plane &rec_plane = recon_.plane(comp);
-        const int x = b < 4 ? lx + (b & 1) * 8 : mbx * 8;
-        const int y = b < 4 ? ly + (b >> 1) * 8 : mby * 8;
-        const Pixel *pp;
-        int ps;
-        if (b < 4) {
-            pp = pred.luma + (b >> 1) * 8 * 16 + (b & 1) * 8;
-            ps = 16;
-        } else {
-            pp = b == 4 ? pred.cb : pred.cr;
-            ps = 8;
-        }
-        Pixel *dst = rec_plane.row(y) + x;
-        dsp_.copy_rect(dst, rec_plane.stride(), pp, ps, 8, 8);
-        if (cbp & (1 << b)) {
-            mpeg_recon_block(rec.levels[b], inter_quant_, -1, dst,
-                             rec_plane.stride(), dsp_);
-        }
-    }
+    recon_inter_mb(pred, rec.levels, cbp, quant_.inter, &recon_, mbx,
+                   mby, dsp_);
 }
 
 void
-Mpeg2Encoder::write_mb(BitWriter &bw, WriteState &ws,
-                       const MbRecord &rec, PictureType type) const
+MpegEncoder::write_mb(BitWriter &bw, WriteState &ws, const MbRecord &rec,
+                      PictureType type) const
 {
     const bool is_b = type == PictureType::kB;
+    // P-picture mode: one bit (0 inter, 1 intra) or ue(PMode).
+    const auto put_p_mode = [&](PMode mode) {
+        if (syntax_.p_mode == MpegPModeCoding::kBit)
+            bw.put_bit(mode == kPIntra);
+        else
+            write_ue(bw, static_cast<u32>(mode));
+    };
 
     if (rec.kind == MbRecord::kSkip) {
         ++ws.pending_skips;
@@ -656,12 +645,12 @@ Mpeg2Encoder::write_mb(BitWriter &bw, WriteState &ws,
             write_ue(bw, static_cast<u32>(ws.pending_skips));
             ws.pending_skips = 0;
             if (is_b)
-                write_ue(bw, mpeg2::kBIntra);
+                write_ue(bw, kBIntra);
             else
-                bw.put_bit(mpeg2::kPIntra);
+                put_p_mode(kPIntra);
         }
         for (int b = 0; b < 6; ++b) {
-            const int comp = b < 4 ? 0 : b - 3;
+            const int comp = block_plane(b);
             write_se(bw, rec.dc[b] - ws.dc_pred[comp]);
             ws.dc_pred[comp] = rec.dc[b];
             intra_rl_.encode_block(bw, rec.levels[b], 1);
@@ -670,37 +659,43 @@ Mpeg2Encoder::write_mb(BitWriter &bw, WriteState &ws,
         return;
     }
 
+    const MbMotion &m = rec.motion;
     write_ue(bw, static_cast<u32>(ws.pending_skips));
     ws.pending_skips = 0;
-    if (is_b)
-        write_ue(bw, static_cast<u32>(rec.mode));
-    else
-        bw.put_bit(mpeg2::kPInter);
-    if (rec.use_fwd) {
-        write_se(bw, rec.fwd.x - ws.left_fwd.x);
-        write_se(bw, rec.fwd.y - ws.left_fwd.y);
-    }
-    if (rec.use_bwd) {
-        write_se(bw, rec.bwd.x - ws.left_bwd.x);
-        write_se(bw, rec.bwd.y - ws.left_bwd.y);
+    if (is_b) {
+        write_ue(bw, static_cast<u32>(rec.b_mode));
+        if (m.use_fwd) {
+            write_se(bw, m.fwd[0].x - ws.left_fwd.x);
+            write_se(bw, m.fwd[0].y - ws.left_fwd.y);
+        }
+        if (m.use_bwd) {
+            write_se(bw, m.bwd.x - ws.left_bwd.x);
+            write_se(bw, m.bwd.y - ws.left_bwd.y);
+        }
+    } else {
+        put_p_mode(m.four ? kPInter4v : kPInter);
+        for (int b = 0; b < (m.four ? 4 : 1); ++b) {
+            write_se(bw, m.fwd[b].x - rec.pred_p.x);
+            write_se(bw, m.fwd[b].y - rec.pred_p.y);
+        }
     }
     bw.put_bits(rec.cbp, 6);
     for (int b = 0; b < 6; ++b) {
         if (rec.cbp & (1 << b))
             inter_rl_.encode_block(bw, rec.levels[b], 0);
     }
-    ws.left_fwd = rec.use_fwd ? rec.fwd : MotionVector{};
-    ws.left_bwd = rec.use_bwd ? rec.bwd : MotionVector{};
+    ws.left_fwd = m.use_fwd ? m.fwd[0] : MotionVector{};
+    ws.left_bwd = m.use_bwd ? m.bwd : MotionVector{};
     ws.dc_pred[0] = ws.dc_pred[1] = ws.dc_pred[2] = kDcPredReset;
 }
 
 }  // namespace
 
 std::unique_ptr<VideoEncoder>
-create_mpeg2_encoder(const CodecConfig &config)
+create_mpeg_encoder(const MpegSyntax &syntax, const CodecConfig &config)
 {
     HDVB_CHECK(config.validate().is_ok());
-    return std::make_unique<Mpeg2Encoder>(config);
+    return std::make_unique<MpegEncoder>(syntax, config);
 }
 
 }  // namespace hdvb

@@ -24,23 +24,6 @@ std::unique_ptr<VideoEncoder> create_mpeg2_encoder(
 std::unique_ptr<VideoDecoder> create_mpeg2_decoder(
     const CodecConfig &config);
 
-namespace mpeg2 {
-
-// ---- bitstream syntax constants (shared by encoder and decoder) ----
-
-/** P-picture macroblock modes (1 bit). */
-enum PMbType { kPInter = 0, kPIntra = 1 };
-
-/** B-picture macroblock modes (ue-coded; bi-prediction cheapest). */
-enum BMbType { kBBi = 0, kBFwd = 1, kBBwd = 2, kBIntra = 3 };
-
-/** Intra DC: predictor reset value (mid-grey level / DC step). */
-inline constexpr int kDcPredReset = 128;
-/** Intra DC quantiser step (full-precision coefficient units). */
-inline constexpr int kDcStep = 8;
-
-}  // namespace mpeg2
-
 }  // namespace hdvb
 
 #endif  // HDVB_MPEG2_MPEG2_H

@@ -26,19 +26,6 @@ std::unique_ptr<VideoEncoder> create_mpeg4_encoder(
 std::unique_ptr<VideoDecoder> create_mpeg4_decoder(
     const CodecConfig &config);
 
-namespace mpeg4 {
-
-/** P-picture macroblock modes (ue-coded). */
-enum PMbType { kPInter16 = 0, kPInter4v = 1, kPIntra = 2 };
-
-/** B-picture macroblock modes (ue-coded). */
-enum BMbType { kBBi = 0, kBFwd = 1, kBBwd = 2, kBIntra = 3 };
-
-inline constexpr int kDcPredReset = 128;
-inline constexpr int kDcStep = 8;
-
-}  // namespace mpeg4
-
 }  // namespace hdvb
 
 #endif  // HDVB_MPEG4_MPEG4_H
