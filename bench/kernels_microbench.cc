@@ -4,16 +4,20 @@
  * microbenchmarks of every dispatched DSP kernel at every SIMD level
  * the running CPU supports (scalar, SSE2, AVX2, ...) — the per-kernel
  * speedups underlying Figure 1's whole-codec speedups — plus the
- * sub-sample refinement stage built from them (BM_SubpelRefine).
+ * quantisers and the sub-sample refinement stage built from the
+ * kernels (BM_SubpelRefine).
  */
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/benchmark.h"
+#include "dsp/quant.h"
 #include "mc/mc.h"
 #include "me/me.h"
 #include "simd/dispatch.h"
@@ -172,6 +176,29 @@ BM_SatdRect16x16(benchmark::State &state)
     state.SetLabel(dsp.name);
 }
 BENCHMARK(BM_SatdRect16x16)->Apply(per_detected_level);
+
+/** satd_rect at the other H.264 partition sizes; args are level, w,
+ * h. */
+void
+BM_SatdRect(benchmark::State &state)
+{
+    const Dsp &dsp = get_dsp(level_of(state));
+    const int w = static_cast<int>(state.range(1));
+    const int h = static_cast<int>(state.range(2));
+    TestData &d = data();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(dsp.satd_rect(
+            d.a.data() + 8, kStride, d.b.data(), kStride, w, h));
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK(BM_SatdRect)
+    ->ArgNames({"level", "w", "h"})
+    ->Apply([](benchmark::internal::Benchmark *bench) {
+        for (int i = 0; i <= static_cast<int>(detected_simd_level()); ++i)
+            for (const auto &[w, h] : {std::pair{16, 8}, {8, 16}, {8, 8}})
+                bench->Args({i, w, h});
+    });
 
 void
 BM_SatdRect16x16Aligned(benchmark::State &state)
@@ -350,6 +377,78 @@ BM_AddRect8x8(benchmark::State &state)
     state.SetLabel(dsp.name);
 }
 BENCHMARK(BM_AddRect8x8)->Apply(per_detected_level);
+
+// ---- Quantisers (each iteration restores the block from TestData, a
+// 64- or 16-coefficient copy, before quantising it in place) ----
+
+void
+BM_MpegQuant8x8(benchmark::State &state)
+{
+    const Dsp &dsp = get_dsp(level_of(state));
+    const MpegQuantizer quant(kMpegInterMatrix, 5, 8, 4, dsp);
+    const std::vector<Coeff> &src = data().coeffs;
+    Coeff blk[64];
+    for (auto _ : state) {
+        std::copy(src.begin(), src.end(), blk);
+        benchmark::DoNotOptimize(quant.quantize(blk));
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK(BM_MpegQuant8x8)->Apply(per_detected_level);
+
+void
+BM_MpegDequant8x8(benchmark::State &state)
+{
+    const Dsp &dsp = get_dsp(level_of(state));
+    const MpegQuantizer quant(kMpegInterMatrix, 5, 8, 4, dsp);
+    std::vector<Coeff> levels = data().coeffs;
+    quant.quantize(levels.data());
+    Coeff blk[64];
+    for (auto _ : state) {
+        std::copy(levels.begin(), levels.end(), blk);
+        quant.dequantize(blk);
+        benchmark::DoNotOptimize(blk);
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK(BM_MpegDequant8x8)->Apply(per_detected_level);
+
+void
+BM_H264Quant4x4(benchmark::State &state)
+{
+    const Dsp &dsp = get_dsp(level_of(state));
+    const H264Quantizer quant(28, false, dsp);
+    const std::vector<Coeff> &src = data().coeffs;
+    Coeff blk[16];
+    for (auto _ : state) {
+        std::copy(src.begin(), src.begin() + 16, blk);
+        benchmark::DoNotOptimize(quant.quantize4x4(blk));
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK(BM_H264Quant4x4)->Apply(per_detected_level);
+
+void
+BM_H264Dequant4x4(benchmark::State &state)
+{
+    const Dsp &dsp = get_dsp(level_of(state));
+    const H264Quantizer quant(28, false, dsp);
+    std::vector<Coeff> levels(data().coeffs.begin(),
+                              data().coeffs.begin() + 16);
+    quant.quantize4x4(levels.data());
+    Coeff blk[16];
+    for (auto _ : state) {
+        std::copy(levels.begin(), levels.end(), blk);
+        quant.dequantize4x4(blk);
+        benchmark::DoNotOptimize(blk);
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK(BM_H264Dequant4x4)->Apply(per_detected_level);
 
 // ---- Plane-level memory operations (the frame-memory layout's cost
 // centres: border extension once per reference picture, whole-plane

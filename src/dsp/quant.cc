@@ -30,7 +30,8 @@ const QuantMatrix8x8 kMpegInterMatrix = {{
 }};
 
 MpegQuantizer::MpegQuantizer(const QuantMatrix8x8 &matrix, int qscale,
-                             int dead_zone, int step_shift)
+                             int dead_zone, int step_shift, const Dsp &dsp)
+    : dsp_(&dsp)
 {
     HDVB_CHECK(qscale >= 1 && qscale <= 31);
     HDVB_CHECK(dead_zone >= 0 && dead_zone <= 32);
@@ -39,37 +40,8 @@ MpegQuantizer::MpegQuantizer(const QuantMatrix8x8 &matrix, int qscale,
         int s = (matrix.w[i] * qscale) >> step_shift;
         if (s < 2)
             s = 2;
-        step_[i] = s;
-        offset_[i] = (s * dead_zone) >> 6;
-    }
-}
-
-int
-MpegQuantizer::quantize(Coeff blk[64]) const
-{
-    int nonzero = 0;
-    for (int i = 0; i < 64; ++i) {
-        const int c = blk[i];
-        const int mag = (c < 0 ? -c : c) + offset_[i];
-        int level = mag / step_[i];
-        if (level > kCoeffClamp)
-            level = kCoeffClamp;  // keeps the IDCT input bounded
-        blk[i] = static_cast<Coeff>(c < 0 ? -level : level);
-        nonzero += level != 0;
-    }
-    return nonzero;
-}
-
-void
-MpegQuantizer::dequantize(Coeff blk[64]) const
-{
-    for (int i = 0; i < 64; ++i) {
-        const int level = blk[i];
-        if (level == 0)
-            continue;
-        int c = level * step_[i];
-        c = clamp(c, -kCoeffClamp, kCoeffClamp);
-        blk[i] = static_cast<Coeff>(c);
+        table_.step[i] = static_cast<s16>(s);
+        table_.offset[i] = static_cast<s16>((s * dead_zone) >> 6);
     }
 }
 
@@ -112,48 +84,19 @@ position_class(int i)
 
 }  // namespace
 
-H264Quantizer::H264Quantizer(int qp, bool intra) : qp_(qp)
+H264Quantizer::H264Quantizer(int qp, bool intra, const Dsp &dsp)
+    : qp_(qp), dsp_(&dsp)
 {
     HDVB_CHECK(qp >= 0 && qp < kH264QpCount);
     const int rem = qp % 6;
     const int per = qp / 6;
-    shift_ = 15 + per;
+    table_.shift = 15 + per;
     // Standard rounding offsets: f = 2^shift / 3 (intra), / 6 (inter).
-    offset_ = (1 << shift_) / (intra ? 3 : 6);
+    table_.offset = (1 << table_.shift) / (intra ? 3 : 6);
     for (int i = 0; i < 16; ++i) {
         const int cls = position_class(i);
-        mf_[i] = kMf[rem][cls];
-        v_[i] = kV[rem][cls] << per;
-    }
-}
-
-int
-H264Quantizer::quantize4x4(Coeff blk[16]) const
-{
-    int nonzero = 0;
-    for (int i = 0; i < 16; ++i) {
-        const int c = blk[i];
-        const int mag = c < 0 ? -c : c;
-        int level =
-            static_cast<int>((static_cast<s64>(mag) * mf_[i] + offset_)
-                             >> shift_);
-        if (level > kCoeffClamp)
-            level = kCoeffClamp;
-        blk[i] = static_cast<Coeff>(c < 0 ? -level : level);
-        nonzero += level != 0;
-    }
-    return nonzero;
-}
-
-void
-H264Quantizer::dequantize4x4(Coeff blk[16]) const
-{
-    for (int i = 0; i < 16; ++i) {
-        if (blk[i] == 0)
-            continue;
-        const int c = clamp(blk[i] * v_[i], -0x8000 * 4, 0x7FFF * 4);
-        // The inverse transform descales by 6 bits; keep headroom.
-        blk[i] = static_cast<Coeff>(clamp(c, -32768, 32767));
+        table_.mf[i] = static_cast<s16>(kMf[rem][cls]);
+        table_.v[i] = static_cast<s16>(kV[rem][cls] << per);
     }
 }
 
@@ -163,8 +106,9 @@ H264Quantizer::quantize_dc(s32 value) const
     const s32 c = value;
     const s32 mag = c < 0 ? -c : c;
     int level =
-        static_cast<int>((static_cast<s64>(mag) * mf_[0] + 2 * offset_)
-                         >> (shift_ + 1));
+        static_cast<int>((static_cast<s64>(mag) * table_.mf[0] +
+                          2 * table_.offset) >>
+                         (table_.shift + 1));
     if (level > kCoeffClamp)
         level = kCoeffClamp;
     return static_cast<Coeff>(c < 0 ? -level : level);
@@ -173,7 +117,7 @@ H264Quantizer::quantize_dc(s32 value) const
 s32
 H264Quantizer::dequantize_dc(Coeff level) const
 {
-    return static_cast<s32>(level) * v_[0] * 2;
+    return static_cast<s32>(level) * table_.v[0] * 2;
 }
 
 int

@@ -19,11 +19,9 @@
 #define HDVB_DSP_QUANT_H
 
 #include "common/types.h"
+#include "simd/dispatch.h"
 
 namespace hdvb {
-
-/** Maximum magnitude fed back into the 8x8 IDCT (range safety). */
-inline constexpr int kCoeffClamp = 2047;
 
 /** Per-coefficient weighting matrix for the 8x8 MPEG-class quantiser. */
 struct QuantMatrix8x8 {
@@ -40,7 +38,8 @@ extern const QuantMatrix8x8 kMpegInterMatrix;
  *
  * step(i) = max(2, (w[i] * qscale) >> step_shift); forward quantisation
  * adds (step * dead_zone) >> 6 before dividing, so dead_zone = 32 is
- * round-to-nearest and 0 is full truncation.
+ * round-to-nearest and 0 is full truncation. Quantise and dequantise
+ * run the Dsp table's mpeg_quant8x8 / mpeg_dequant8x8 kernels.
  */
 class MpegQuantizer
 {
@@ -51,23 +50,33 @@ class MpegQuantizer
      * @param dead_zone rounding offset in 1/64 of a step (0..32)
      * @param step_shift 4 for MPEG-2 semantics (step = W*q/16),
      *        3 for H.263/MPEG-4 semantics (step = W*q/8)
+     * @param dsp kernel table (the codec's CodecConfig::simd tier)
      */
     MpegQuantizer(const QuantMatrix8x8 &matrix, int qscale, int dead_zone,
-                  int step_shift = 3);
+                  int step_shift = 3,
+                  const Dsp &dsp = get_dsp(best_simd_level()));
 
     /** Quantise blk[64] in place; returns the count of non-zero
      * levels. */
-    int quantize(Coeff blk[64]) const;
+    int
+    quantize(Coeff blk[64]) const
+    {
+        return dsp_->mpeg_quant8x8(blk, table_);
+    }
 
     /** Dequantise levels in place back to coefficient magnitudes. */
-    void dequantize(Coeff blk[64]) const;
+    void
+    dequantize(Coeff blk[64]) const
+    {
+        dsp_->mpeg_dequant8x8(blk, table_);
+    }
 
     /** Quantiser step for coefficient position @p i. */
-    int step(int i) const { return step_[i]; }
+    int step(int i) const { return table_.step[i]; }
 
   private:
-    int step_[64];
-    int offset_[64];
+    MpegQuantTable table_;
+    const Dsp *dsp_;
 };
 
 /** Number of distinct QP values in the H.264-class scale. */
@@ -76,6 +85,8 @@ inline constexpr int kH264QpCount = 52;
 /**
  * H.264-class 4x4 quantiser using the standard MF (forward) and V
  * (dequant) tables; positions fall into three classes by transform gain.
+ * The 4x4 block paths run the Dsp table's h264_quant4x4 /
+ * h264_dequant4x4 kernels.
  */
 class H264Quantizer
 {
@@ -83,15 +94,25 @@ class H264Quantizer
     /**
      * @param qp 0..51
      * @param intra selects the wider intra rounding offset (1/3 vs 1/6)
+     * @param dsp kernel table (the codec's CodecConfig::simd tier)
      */
-    H264Quantizer(int qp, bool intra);
+    H264Quantizer(int qp, bool intra,
+                  const Dsp &dsp = get_dsp(best_simd_level()));
 
     /** Quantise a 4x4 coefficient block in place; returns nonzero
      * count. */
-    int quantize4x4(Coeff blk[16]) const;
+    int
+    quantize4x4(Coeff blk[16]) const
+    {
+        return dsp_->h264_quant4x4(blk, table_);
+    }
 
     /** Dequantise a 4x4 level block in place. */
-    void dequantize4x4(Coeff blk[16]) const;
+    void
+    dequantize4x4(Coeff blk[16]) const
+    {
+        dsp_->h264_dequant4x4(blk, table_);
+    }
 
     /**
      * Quantise a single Hadamard-domain DC value (the Intra16 path uses
@@ -105,10 +126,8 @@ class H264Quantizer
 
   private:
     int qp_;
-    int shift_;     ///< 15 + qp/6
-    int offset_;    ///< rounding offset, pre-shifted
-    int mf_[16];    ///< per-position forward multiplier
-    int v_[16];     ///< per-position dequant multiplier << (qp/6)
+    H264QuantTable table_;
+    const Dsp *dsp_;
 };
 
 /**

@@ -1080,8 +1080,8 @@ H264Decoder::decode_picture_resilient(const Packet &packet, Frame *out)
     if (type == PictureType::kB && dpb_.size() < 2)
         return Status::corrupt_stream("B picture without two references");
 
-    const H264Quantizer quant_i(qp, true);
-    const H264Quantizer quant_p(qp, false);
+    const H264Quantizer quant_i(qp, true, dsp_);
+    const H264Quantizer quant_p(qp, false, dsp_);
     quant_i_ = &quant_i;
     quant_p_ = &quant_p;
 
@@ -1185,8 +1185,8 @@ H264Decoder::decode_picture(const Packet &packet, Frame *out)
     if (type == PictureType::kB && dpb_.size() < 2)
         return Status::corrupt_stream("B picture without two references");
 
-    const H264Quantizer quant_i(qp, true);
-    const H264Quantizer quant_p(qp, false);
+    const H264Quantizer quant_i(qp, true, dsp_);
+    const H264Quantizer quant_p(qp, false, dsp_);
     quant_i_ = &quant_i;
     quant_p_ = &quant_p;
 

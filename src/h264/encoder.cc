@@ -67,8 +67,8 @@ class H264Encoder final : public EncoderBase
     explicit H264Encoder(const CodecConfig &cfg)
         : EncoderBase(cfg),
           dsp_(get_dsp(cfg.simd)),
-          quant_i_(cfg.qp, true),
-          quant_p_(cfg.qp, false),
+          quant_i_(cfg.qp, true, dsp_),
+          quant_p_(cfg.qp, false, dsp_),
           me_(MeParams{cfg.me_range,
                        static_cast<int>(16.0 *
                                         std::pow(2.0,

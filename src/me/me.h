@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bitstream/exp_golomb.h"
+#include "common/check.h"
 #include "common/types.h"
 #include "mc/mc.h"
 #include "simd/dispatch.h"
@@ -164,6 +165,10 @@ class MotionEstimator
  * @param steps list of step sizes in sub-pel units to refine with,
  *        e.g. {1} for a half-pel codec, {2, 1} for quarter-pel.
  * @param use_satd refine on SATD instead of SAD (H.264 subme style).
+ *
+ * No candidate is scored twice. A revisit could never win: it scored
+ * no better than the best of its time, the best only falls, and a win
+ * needs a strictly lower cost.
  */
 template <typename ViewFn>
 MeResult
@@ -186,8 +191,27 @@ subpel_refine_views(const MeBlock &blk, MotionVector start_sub,
                                   blk.h);
     };
 
+    // Two rounds of each step reach 2 * sum(steps) sub-samples from the
+    // start per axis (6 for the {2, 1} walk). The bitmap has one row per
+    // vertical offset and one bit per horizontal offset, both biased by
+    // kReach.
+    constexpr int kReach = 8;
+    int reach = 0;
+    for (int step : steps)
+        reach += 2 * step;
+    HDVB_CHECK(reach <= kReach);
+    u32 visited[2 * kReach + 1] = {};
+    auto first_visit = [&](MotionVector mv) {
+        u32 &row = visited[mv.y - start_sub.y + kReach];
+        const u32 bit = 1u << (mv.x - start_sub.x + kReach);
+        const bool first = (row & bit) == 0;
+        row |= bit;
+        return first;
+    };
+
     MeResult best;
     best.mv = start_sub;
+    first_visit(start_sub);
     best.sad = distortion(start_sub);
     best.cost = best.sad + mv_rate_cost(start_sub, pred_sub,
                                         params.lambda16);
@@ -206,6 +230,8 @@ subpel_refine_views(const MeBlock &blk, MotionVector start_sub,
                 MotionVector mv{
                     static_cast<s16>(center.x + kDx[i] * step),
                     static_cast<s16>(center.y + kDy[i] * step)};
+                if (!first_visit(mv))
+                    continue;
                 const int d = distortion(mv);
                 const int cost =
                     d + mv_rate_cost(mv, pred_sub, params.lambda16);

@@ -375,7 +375,7 @@ MpegDecoder::decode_picture_resilient(const Packet &packet, Frame *out)
     const Status header = parse_header(hbr, packet, &type, &qscale);
     if (!header.is_ok())
         return header;
-    const Quantizers quant(syntax_, qscale);
+    const Quantizers quant(syntax_, qscale, dsp_);
 
     *out = new_frame(kRefBorder);
     std::fill(mv_grid_.begin(), mv_grid_.end(), MotionVector{});
@@ -435,7 +435,7 @@ MpegDecoder::decode_picture(const Packet &packet, Frame *out)
     const Status header = parse_header(br, packet, &type, &qscale);
     if (!header.is_ok())
         return header;
-    const Quantizers quant(syntax_, qscale);
+    const Quantizers quant(syntax_, qscale, dsp_);
 
     *out = new_frame(kRefBorder);
     std::fill(mv_grid_.begin(), mv_grid_.end(), MotionVector{});

@@ -42,7 +42,7 @@ class MpegEncoder final : public EncoderBase
         : EncoderBase(cfg),
           syntax_(syntax),
           dsp_(get_dsp(cfg.simd)),
-          quant_(syntax, cfg.qscale),
+          quant_(syntax, cfg.qscale, dsp_),
           intra_rl_(RunLevelCoder::get(syntax.intra_rl)),
           inter_rl_(RunLevelCoder::get(syntax.inter_rl)),
           me_(MeParams{cfg.me_range, cfg.qscale * 16, syntax.mv_shift,

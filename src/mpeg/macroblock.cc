@@ -46,11 +46,12 @@ predict_one(const MpegSyntax &syntax, const Dsp &dsp, const Frame &ref,
 
 }  // namespace
 
-Quantizers::Quantizers(const MpegSyntax &syntax, int qscale)
+Quantizers::Quantizers(const MpegSyntax &syntax, int qscale,
+                       const Dsp &dsp)
     // Intra levels round to nearest (offset 32/64) in every codec.
-    : intra(kMpegIntraMatrix, qscale, 32, syntax.quant_step_shift),
+    : intra(kMpegIntraMatrix, qscale, 32, syntax.quant_step_shift, dsp),
       inter(kMpegInterMatrix, qscale, syntax.inter_dead_zone,
-            syntax.quant_step_shift)
+            syntax.quant_step_shift, dsp)
 {
 }
 

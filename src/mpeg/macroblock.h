@@ -80,7 +80,7 @@ mpeg_recon_block(const Coeff levels[64], const MpegQuantizer &quant,
 
 /** The intra and inter quantisers of one picture. */
 struct Quantizers {
-    Quantizers(const MpegSyntax &syntax, int qscale);
+    Quantizers(const MpegSyntax &syntax, int qscale, const Dsp &dsp);
 
     MpegQuantizer intra;
     MpegQuantizer inter;

@@ -36,6 +36,10 @@ const Dsp kScalarDsp = {
     scalar_h264_hpel_h,
     scalar_h264_hpel_v,
     scalar_h264_hpel_hv,
+    scalar_mpeg_quant8x8,
+    scalar_mpeg_dequant8x8,
+    scalar_h264_quant4x4,
+    scalar_h264_dequant4x4,
 };
 
 #if defined(__SSE2__)
@@ -61,6 +65,12 @@ const Dsp kSse2Dsp = {
     sse2_h264_hpel_h,
     sse2_h264_hpel_v,
     sse2_h264_hpel_hv,
+    // The vector quantisers lean on pabsw/psignw (SSSE3) and pmulld
+    // (SSE4.1), so the SSE2 tier keeps the scalar ones.
+    scalar_mpeg_quant8x8,
+    scalar_mpeg_dequant8x8,
+    scalar_h264_quant4x4,
+    scalar_h264_dequant4x4,
 };
 #endif
 
@@ -89,6 +99,10 @@ const Dsp kAvx2Dsp = {
     avx2_h264_hpel_h,
     avx2_h264_hpel_v,
     avx2_h264_hpel_hv,
+    avx2_mpeg_quant8x8,
+    avx2_mpeg_dequant8x8,
+    avx2_h264_quant4x4,
+    avx2_h264_dequant4x4,
 };
 #endif
 

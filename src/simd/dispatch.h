@@ -60,6 +60,35 @@ SimdLevel detected_simd_level();
  * the returned level is always executable on this machine. */
 SimdLevel best_simd_level();
 
+/** Largest quantised level magnitude; it bounds the 8x8 IDCT input
+ * (range safety). */
+inline constexpr int kCoeffClamp = 2047;
+
+/**
+ * Per-position tables of the MPEG-class 8x8 quantiser (built by
+ * MpegQuantizer, dsp/quant.h). Forward: level = min((|c| + offset) /
+ * step, kCoeffClamp) with c's sign. Inverse: c = clamp(level * step,
+ * +-kCoeffClamp). Kernels require 2 <= step <= 4096 and
+ * 0 <= offset <= step / 2.
+ */
+struct MpegQuantTable {
+    s16 step[64];
+    s16 offset[64];
+};
+
+/**
+ * Per-position tables of the H.264-class 4x4 quantiser (built by
+ * H264Quantizer). Forward: level = min((|c| * mf + offset) >> shift,
+ * kCoeffClamp) with c's sign. Inverse: c = level * v, saturated to
+ * s16. The standard's tables keep |c| * mf + offset below 2^31.
+ */
+struct H264QuantTable {
+    s16 mf[16];  ///< forward multiplier, <= 13107
+    s16 v[16];   ///< dequant multiplier << (qp / 6), <= 7424
+    s32 offset;  ///< rounding offset, < 2^shift / 2
+    int shift;   ///< 15 + qp / 6
+};
+
 /**
  * Table of pixel-level kernels. All rectangle kernels take row strides
  * in samples; widths are arbitrary (SIMD variants handle tails), except
@@ -98,7 +127,7 @@ struct Dsp {
                        int w, int h, int bound);
     /** 4x4 Hadamard-transformed difference (x264-style, sum >> 1). */
     int (*satd4x4)(const Pixel *a, int as, const Pixel *b, int bs);
-    /** SATD over a rectangle; w and h multiples of 4. */
+    /** SATD over a rectangle; w and h multiples of 4, <= 16. */
     int (*satd_rect)(const Pixel *a, int as, const Pixel *b, int bs,
                      int w, int h);
     /** Sum of squared errors over a rectangle (PSNR, distortion). */
@@ -146,6 +175,14 @@ struct Dsp {
      * columns -2..w+2. */
     void (*h264_hpel_hv)(Pixel *dst, int ds, const Pixel *src, int ss,
                          int w, int h);
+
+    // ---- Quantisation, in place (tables above) ----
+    /** Returns the number of nonzero levels. */
+    int (*mpeg_quant8x8)(Coeff blk[64], const MpegQuantTable &q);
+    void (*mpeg_dequant8x8)(Coeff blk[64], const MpegQuantTable &q);
+    /** Returns the number of nonzero levels. */
+    int (*h264_quant4x4)(Coeff blk[16], const H264QuantTable &q);
+    void (*h264_dequant4x4)(Coeff blk[16], const H264QuantTable &q);
 };
 
 /** Kernel table for @p level. A level the running CPU (or this build)

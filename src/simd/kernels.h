@@ -7,6 +7,7 @@
 #define HDVB_SIMD_KERNELS_H
 
 #include "common/types.h"
+#include "simd/dispatch.h"
 
 namespace hdvb::kernels {
 
@@ -44,6 +45,10 @@ void scalar_h264_hpel_v(Pixel *dst, int ds, const Pixel *src, int ss,
                         int w, int h);
 void scalar_h264_hpel_hv(Pixel *dst, int ds, const Pixel *src, int ss,
                          int w, int h);
+int scalar_mpeg_quant8x8(Coeff blk[64], const MpegQuantTable &q);
+void scalar_mpeg_dequant8x8(Coeff blk[64], const MpegQuantTable &q);
+int scalar_h264_quant4x4(Coeff blk[16], const H264QuantTable &q);
+void scalar_h264_dequant4x4(Coeff blk[16], const H264QuantTable &q);
 
 // ---- SSE2 implementations (compiled only when __SSE2__) ----
 #if defined(__SSE2__)
@@ -113,6 +118,10 @@ void avx2_h264_hpel_v(Pixel *dst, int ds, const Pixel *src, int ss,
                       int w, int h);
 void avx2_h264_hpel_hv(Pixel *dst, int ds, const Pixel *src, int ss,
                        int w, int h);
+int avx2_mpeg_quant8x8(Coeff blk[64], const MpegQuantTable &q);
+void avx2_mpeg_dequant8x8(Coeff blk[64], const MpegQuantTable &q);
+int avx2_h264_quant4x4(Coeff blk[16], const H264QuantTable &q);
+void avx2_h264_dequant4x4(Coeff blk[16], const H264QuantTable &q);
 #endif  // HDVB_BUILD_AVX2
 
 }  // namespace hdvb::kernels

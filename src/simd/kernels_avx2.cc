@@ -6,10 +6,13 @@
  * particular there are no namespace-scope dynamic initialisers here.
  *
  * Every function is bit-exact with its scalar reference in
- * kernels_scalar.cc: identical rounding, identical saturation, and
- * where the accumulation is regrouped (two SATD blocks per ymm) the
- * per-block results are still combined exactly as the scalar code
- * combines them.
+ * kernels_scalar.cc: identical rounding and identical saturation.
+ * Where the accumulation is regrouped the regrouping is exact. SATD
+ * sums every 4x4 block of a rectangle in 16-bit lanes and reduces
+ * once, where the scalar code halves each block's sum of |coefficient|
+ * before adding: every coefficient of a 4x4 Hadamard has the parity of
+ * the block's sample sum, so each block's sum is even, its ">> 1" drops
+ * nothing, and halving the total equals halving each block.
  *
  * There are deliberately no AVX2 SAD kernels: a 16-pixel row is one
  * xmm register, and pairing strided rows into a ymm needs a
@@ -70,78 +73,128 @@ hsum_epi32_128(__m128i v)
     return _mm_cvtsi128_si32(v);
 }
 
-/** Per-128-lane swap of the two 64-bit halves. */
+// ---- SATD: four 4x4 blocks per ymm, one reduction per rectangle ----
+
+/**
+ * pmaddubsw weights for the first horizontal butterfly: the low lane
+ * sums adjacent pixel pairs, the high lane differences them. With a
+ * 16-pixel row in both lanes, the result holds, per 4x4 block, the two
+ * pair sums (low lane) and the two pair differences (high lane).
+ */
 inline __m256i
-swap_halves(__m256i v)
+hmul_weights()
 {
-    return _mm256_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2));
+    return _mm256_setr_epi8(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                            1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1,
+                            1, -1, 1, -1);
 }
 
-/** 8 u8 pixels of a - b as 8 s16 lanes. */
-inline __m128i
-diff8_s16(const Pixel *a, const Pixel *b)
+/** 16 pixels (four 4-pixel block rows) in both lanes. */
+inline __m256i
+row16(const Pixel *p)
 {
-    return _mm_sub_epi16(load8_u8_as_s16(a), load8_u8_as_s16(b));
+    return _mm256_broadcastsi128_si256(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+}
+
+/** 8 pixels at @p p then 8 at @p q, as one 16-pixel row in both
+ * lanes: two 8-wide row groups side by side. */
+inline __m256i
+row8x2(const Pixel *p, const Pixel *q)
+{
+    return _mm256_blend_epi32(
+        _mm256_broadcastq_epi64(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p))),
+        _mm256_broadcastq_epi64(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(q))),
+        0xCC);
+}
+
+/** row8x2 with zeros for the second group (a lone 8x4 row group). */
+inline __m256i
+row8(const Pixel *p)
+{
+    return _mm256_blend_epi32(
+        _mm256_broadcastq_epi64(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p))),
+        _mm256_setzero_si256(), 0xCC);
+}
+
+/** First horizontal butterfly of row a minus row b (row16/row8x2
+ * layout); pmaddubsw is linear, so this is the butterfly of a - b. */
+inline __m256i
+hdiff(__m256i a, __m256i b)
+{
+    const __m256i hmul = hmul_weights();
+    return _mm256_sub_epi16(_mm256_maddubs_epi16(a, hmul),
+                            _mm256_maddubs_epi16(b, hmul));
+}
+
+/** max(|p|, |q|) in the low word of each 32-bit lane (p, q its two
+ * words); the high word keeps |q|. */
+inline __m256i
+abs_max_pairs(__m256i v)
+{
+    const __m256i m = _mm256_abs_epi16(v);
+    return _mm256_max_epi16(m, _mm256_srli_epi32(m, 16));
 }
 
 /**
- * SATD of two horizontally adjacent 4x4 blocks (at a and a+4): block A
- * lives in the low 128-bit lane, block B in the high lane, and the
- * whole sse2_satd4x4 dataflow runs lane-parallel (every unpack/shift
- * below is per-lane). The two block sums are descaled separately, so
- * the result equals satd4x4(A) + satd4x4(B) exactly.
+ * Half the Hadamard magnitude sum of the four 4x4 blocks in one stripe,
+ * from hdiff of its four rows, left in the low word of each 32-bit
+ * lane; the high words carry junk that the final reduction weights by
+ * zero.
+ *
+ * The vertical transform is register-wise. The last horizontal
+ * butterfly pairs the two words of each 32-bit lane and uses
+ * |p + q| + |p - q| = 2 max(|p|, |q|), so max(|p|, |q|) is exactly half
+ * of the pair's two coefficients. Every value stays within +-2040, so a
+ * low word gains at most 4 x 2040 per stripe and four stripes fit s16.
  */
-inline int
-satd4x4_pair(const Pixel *a, int as, const Pixel *b, int bs)
+inline __m256i
+satd_stripe(__m256i d0, __m256i d1, __m256i d2, __m256i d3)
 {
-    const __m128i d0 = diff8_s16(a, b);
-    const __m128i d1 = diff8_s16(a + as, b + bs);
-    const __m128i d2 = diff8_s16(a + 2 * as, b + 2 * bs);
-    const __m128i d3 = diff8_s16(a + 3 * as, b + 3 * bs);
-    // lane0 = [A row0 | A row1], lane1 = [B row0 | B row1], etc.
-    const __m256i d01 = combine128(_mm_unpacklo_epi64(d0, d1),
-                                   _mm_unpackhi_epi64(d0, d1));
-    const __m256i d23 = combine128(_mm_unpacklo_epi64(d2, d3),
-                                   _mm_unpackhi_epi64(d2, d3));
+    const __m256i s01 = _mm256_add_epi16(d0, d1);
+    const __m256i t01 = _mm256_sub_epi16(d0, d1);
+    const __m256i s23 = _mm256_add_epi16(d2, d3);
+    const __m256i t23 = _mm256_sub_epi16(d2, d3);
+    return _mm256_add_epi16(
+        _mm256_add_epi16(abs_max_pairs(_mm256_add_epi16(s01, s23)),
+                         abs_max_pairs(_mm256_sub_epi16(s01, s23))),
+        _mm256_add_epi16(abs_max_pairs(_mm256_add_epi16(t01, t23)),
+                         abs_max_pairs(_mm256_sub_epi16(t01, t23))));
+}
 
-    // Column (vertical) Hadamard.
-    const __m256i u = _mm256_unpacklo_epi64(d01, d23);  // rows 0 | 2
-    const __m256i v = _mm256_unpackhi_epi64(d01, d23);  // rows 1 | 3
-    __m256i s = _mm256_add_epi16(u, v);
-    __m256i t = _mm256_sub_epi16(u, v);
-    __m256i ra = _mm256_add_epi16(s, swap_halves(s));
-    __m256i rc = _mm256_sub_epi16(s, swap_halves(s));
-    __m256i rb = _mm256_add_epi16(t, swap_halves(t));
-    __m256i rd = _mm256_sub_epi16(t, swap_halves(t));
-    __m256i r01 = _mm256_unpacklo_epi64(ra, rb);
-    __m256i r23 = _mm256_unpacklo_epi64(rc, rd);
+/** satd_stripe of four rows of a 16-wide column. */
+inline __m256i
+satd_stripe16(const Pixel *a, int as, const Pixel *b, int bs)
+{
+    return satd_stripe(hdiff(row16(a), row16(b)),
+                       hdiff(row16(a + as), row16(b + bs)),
+                       hdiff(row16(a + 2 * as), row16(b + 2 * bs)),
+                       hdiff(row16(a + 3 * as), row16(b + 3 * bs)));
+}
 
-    // Transpose each 4x4 (two rows per lane half).
-    const __m256i i0 =
-        _mm256_unpacklo_epi16(r01, _mm256_srli_si256(r01, 8));
-    const __m256i i1 =
-        _mm256_unpacklo_epi16(r23, _mm256_srli_si256(r23, 8));
-    const __m256i c01 = _mm256_unpacklo_epi32(i0, i1);
-    const __m256i c23 = _mm256_unpackhi_epi32(i0, i1);
-    const __m256i u2 = _mm256_unpacklo_epi64(c01, c23);
-    const __m256i v2 = _mm256_unpackhi_epi64(c01, c23);
+/** satd_stripe of rows 0..3 (first group) and 4..7 (second group) of
+ * an 8-wide column. */
+inline __m256i
+satd_stripe8x2(const Pixel *a, int as, const Pixel *b, int bs)
+{
+    const auto row = [&](int k) {
+        return hdiff(row8x2(a + k * as, a + (k + 4) * as),
+                     row8x2(b + k * bs, b + (k + 4) * bs));
+    };
+    return satd_stripe(row(0), row(1), row(2), row(3));
+}
 
-    // Row Hadamard.
-    s = _mm256_add_epi16(u2, v2);
-    t = _mm256_sub_epi16(u2, v2);
-    ra = _mm256_add_epi16(s, swap_halves(s));
-    rc = _mm256_sub_epi16(s, swap_halves(s));
-    rb = _mm256_add_epi16(t, swap_halves(t));
-    rd = _mm256_sub_epi16(t, swap_halves(t));
-    r01 = _mm256_unpacklo_epi64(ra, rb);
-    r23 = _mm256_unpacklo_epi64(rc, rd);
-
-    const __m256i ones = _mm256_set1_epi16(1);
-    const __m256i sum = _mm256_add_epi32(
-        _mm256_madd_epi16(_mm256_abs_epi16(r01), ones),
-        _mm256_madd_epi16(_mm256_abs_epi16(r23), ones));
-    return (hsum_epi32_128(_mm256_castsi256_si128(sum)) >> 1) +
-           (hsum_epi32_128(_mm256_extracti128_si256(sum, 1)) >> 1);
+/** satd_stripe of a lone 8x4 row group. */
+inline __m256i
+satd_stripe8(const Pixel *a, int as, const Pixel *b, int bs)
+{
+    const auto row = [&](int k) {
+        return hdiff(row8(a + k * as), row8(b + k * bs));
+    };
+    return satd_stripe(row(0), row(1), row(2), row(3));
 }
 
 // ---- matrix DCT machinery (ymm madd pass, xmm transpose) ----
@@ -251,20 +304,80 @@ dct8x8_avx2(Coeff blk[64], const __m256i consts[8][4])
         _mm_storeu_si128(reinterpret_cast<__m128i *>(blk + i * 8), r[i]);
 }
 
+// ---- quantisation ----
+
+inline __m128i
+load8_s16(const s16 *p)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+}
+
+inline __m256i
+load16_s16(const s16 *p)
+{
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+}
+
+/** 16 s16 lanes in order from two vectors of 8 s32 (lanes 0..7 and
+ * 8..15), saturated. */
+inline __m256i
+pack_s32_to_s16(__m256i lo, __m256i hi)
+{
+    return _mm256_permute4x64_epi64(_mm256_packs_epi32(lo, hi),
+                                    _MM_SHUFFLE(3, 1, 2, 0));
+}
+
+/** a * b per s16 lane, the full product saturated to s16. */
+inline __m256i
+mul_sat16(__m256i a, __m256i b)
+{
+    const __m256i lo = _mm256_mullo_epi16(a, b);
+    const __m256i hi = _mm256_mulhi_epi16(a, b);
+    return _mm256_packs_epi32(_mm256_unpacklo_epi16(lo, hi),
+                              _mm256_unpackhi_epi16(lo, hi));
+}
+
+/** @p n minus the count held in @p zeros, whose s16 lanes each
+ * accumulated -1 per zero level. */
+inline int
+nonzero_count(int n, __m256i zeros)
+{
+    const __m256i z32 = _mm256_madd_epi16(zeros, _mm256_set1_epi16(1));
+    return n + hsum_epi32_128(_mm_add_epi32(
+                   _mm256_castsi256_si128(z32),
+                   _mm256_extracti128_si256(z32, 1)));
+}
+
 }  // namespace
 
 int
 avx2_satd_rect(const Pixel *a, int as, const Pixel *b, int bs,
                int w, int h)
 {
-    int sum = 0;
-    for (int y = 0; y < h; y += 4) {
-        int x = 0;
-        for (; x + 8 <= w; x += 8)
-            sum += satd4x4_pair(a + y * as + x, as, b + y * bs + x, bs);
-        for (; x < w; x += 4)
-            sum += sse2_satd4x4(a + y * as + x, as, b + y * bs + x, bs);
+    // w, h <= 16 puts at most four stripes in any lane (satd_stripe).
+    __m256i acc = _mm256_setzero_si256();
+    int x = 0;
+    for (; x + 16 <= w; x += 16) {
+        for (int y = 0; y < h; y += 4)
+            acc = _mm256_add_epi16(
+                acc, satd_stripe16(a + y * as + x, as, b + y * bs + x, bs));
     }
+    for (; x + 8 <= w; x += 8) {
+        int y = 0;
+        for (; y + 8 <= h; y += 8)
+            acc = _mm256_add_epi16(acc, satd_stripe8x2(a + y * as + x, as,
+                                                       b + y * bs + x, bs));
+        if (y < h)
+            acc = _mm256_add_epi16(
+                acc, satd_stripe8(a + y * as + x, as, b + y * bs + x, bs));
+    }
+    // Low words only: the high words hold junk (satd_stripe).
+    const __m256i sum32 = _mm256_madd_epi16(acc, _mm256_set1_epi32(1));
+    int sum = hsum_epi32_128(_mm_add_epi32(
+        _mm256_castsi256_si128(sum32), _mm256_extracti128_si256(sum32, 1)));
+    for (; x < w; x += 4)  // a lone 4-wide column
+        for (int y = 0; y < h; y += 4)
+            sum += sse2_satd4x4(a + y * as + x, as, b + y * bs + x, bs);
     return sum;
 }
 
@@ -700,6 +813,79 @@ avx2_h264_hpel_hv(Pixel *dst, int ds, const Pixel *src, int ss,
         }
         dst += ds;
     }
+}
+
+int
+avx2_mpeg_quant8x8(Coeff blk[64], const MpegQuantTable &q)
+{
+    // Exact integer division in float. Let q = floor(n / d) with
+    // n + d < 2^24 (here n <= 32768 + 2048, d <= 4096). Both convert
+    // exactly, and rounding moves n / d by under (q + 1) * 2^-24
+    // <= (n + d) / d * 2^-24 < 1 / d. A fractional n / d lies at least
+    // 1 / d below q + 1, so the rounded quotient stays in [q, q + 1)
+    // and truncates to q.
+    const __m256i clamp = _mm256_set1_epi32(kCoeffClamp);
+    const auto levels8 = [&](int j) {
+        const __m256i mag = _mm256_add_epi32(
+            _mm256_abs_epi32(_mm256_cvtepi16_epi32(load8_s16(blk + j))),
+            _mm256_cvtepi16_epi32(load8_s16(q.offset + j)));
+        const __m256 step =
+            _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(load8_s16(q.step + j)));
+        return _mm256_min_epi32(
+            _mm256_cvttps_epi32(_mm256_div_ps(_mm256_cvtepi32_ps(mag), step)),
+            clamp);
+    };
+    __m256i zeros = _mm256_setzero_si256();
+    for (int i = 0; i < 64; i += 16) {
+        const __m256i out =
+            _mm256_sign_epi16(pack_s32_to_s16(levels8(i), levels8(i + 8)),
+                              load16_s16(blk + i));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(blk + i), out);
+        zeros = _mm256_add_epi16(
+            zeros, _mm256_cmpeq_epi16(out, _mm256_setzero_si256()));
+    }
+    return nonzero_count(64, zeros);
+}
+
+void
+avx2_mpeg_dequant8x8(Coeff blk[64], const MpegQuantTable &q)
+{
+    const __m256i hi = _mm256_set1_epi16(kCoeffClamp);
+    const __m256i lo = _mm256_set1_epi16(-kCoeffClamp);
+    for (int i = 0; i < 64; i += 16) {
+        const __m256i c =
+            mul_sat16(load16_s16(blk + i), load16_s16(q.step + i));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(blk + i),
+                            _mm256_max_epi16(_mm256_min_epi16(c, hi), lo));
+    }
+}
+
+int
+avx2_h264_quant4x4(Coeff blk[16], const H264QuantTable &q)
+{
+    // |c| * mf + offset <= 32768 * 13107 + 2^22 < 2^31: pmulld is exact.
+    const __m256i offset = _mm256_set1_epi32(q.offset);
+    const __m128i shift = _mm_cvtsi32_si128(q.shift);
+    const __m256i clamp = _mm256_set1_epi32(kCoeffClamp);
+    const auto levels8 = [&](int j) {
+        const __m256i prod = _mm256_mullo_epi32(
+            _mm256_abs_epi32(_mm256_cvtepi16_epi32(load8_s16(blk + j))),
+            _mm256_cvtepi16_epi32(load8_s16(q.mf + j)));
+        return _mm256_min_epi32(
+            _mm256_srl_epi32(_mm256_add_epi32(prod, offset), shift), clamp);
+    };
+    const __m256i out = _mm256_sign_epi16(
+        pack_s32_to_s16(levels8(0), levels8(8)), load16_s16(blk));
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(blk), out);
+    return nonzero_count(
+        16, _mm256_cmpeq_epi16(out, _mm256_setzero_si256()));
+}
+
+void
+avx2_h264_dequant4x4(Coeff blk[16], const H264QuantTable &q)
+{
+    _mm256_storeu_si256(reinterpret_cast<__m256i *>(blk),
+                        mul_sat16(load16_s16(blk), load16_s16(q.v)));
 }
 
 }  // namespace hdvb::kernels

@@ -340,4 +340,52 @@ scalar_h264_hpel_hv(Pixel *dst, int ds, const Pixel *src, int ss,
     }
 }
 
+int
+scalar_mpeg_quant8x8(Coeff blk[64], const MpegQuantTable &q)
+{
+    int nonzero = 0;
+    for (int i = 0; i < 64; ++i) {
+        const int c = blk[i];
+        const int mag = iabs(c) + q.offset[i];
+        int level = mag / q.step[i];
+        if (level > kCoeffClamp)
+            level = kCoeffClamp;
+        blk[i] = static_cast<Coeff>(c < 0 ? -level : level);
+        nonzero += level != 0;
+    }
+    return nonzero;
+}
+
+void
+scalar_mpeg_dequant8x8(Coeff blk[64], const MpegQuantTable &q)
+{
+    for (int i = 0; i < 64; ++i) {
+        blk[i] = static_cast<Coeff>(
+            clamp(blk[i] * q.step[i], -kCoeffClamp, kCoeffClamp));
+    }
+}
+
+int
+scalar_h264_quant4x4(Coeff blk[16], const H264QuantTable &q)
+{
+    int nonzero = 0;
+    for (int i = 0; i < 16; ++i) {
+        const int c = blk[i];
+        int level = static_cast<int>(
+            (static_cast<s64>(iabs(c)) * q.mf[i] + q.offset) >> q.shift);
+        if (level > kCoeffClamp)
+            level = kCoeffClamp;
+        blk[i] = static_cast<Coeff>(c < 0 ? -level : level);
+        nonzero += level != 0;
+    }
+    return nonzero;
+}
+
+void
+scalar_h264_dequant4x4(Coeff blk[16], const H264QuantTable &q)
+{
+    for (int i = 0; i < 16; ++i)
+        blk[i] = sat16(blk[i] * q.v[i]);
+}
+
 }  // namespace hdvb::kernels

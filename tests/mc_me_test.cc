@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 
 #include "mc/mc.h"
 #include "me/me.h"
@@ -257,6 +259,159 @@ TEST(SubpelRefine, FindsPlantedHalfPelShift)
     EXPECT_EQ(result.mv.x, 1);
     EXPECT_EQ(result.mv.y, 0);
     EXPECT_EQ(result.sad, 0);
+}
+
+// ---- sub-sample refinement scores each candidate once ----
+
+/** Kernels behind the counting table, and how often it measured. */
+const Dsp *g_counted_dsp = nullptr;
+long g_distortion_calls = 0;
+
+int
+counted_sad_rect(const Pixel *a, int as, const Pixel *b, int bs, int w,
+                 int h)
+{
+    ++g_distortion_calls;
+    return g_counted_dsp->sad_rect(a, as, b, bs, w, h);
+}
+
+int
+counted_satd_rect(const Pixel *a, int as, const Pixel *b, int bs, int w,
+                  int h)
+{
+    ++g_distortion_calls;
+    return g_counted_dsp->satd_rect(a, as, b, bs, w, h);
+}
+
+/** subpel_refine without the visited bitmap: every neighbour of every
+ * round is scored, revisits included. */
+template <typename PredictFn>
+MeResult
+refine_rescoring(const MeBlock &blk, MotionVector start,
+                 MotionVector pred, const MeParams &params,
+                 std::initializer_list<int> steps, bool use_satd,
+                 PredictFn &&predict)
+{
+    const Dsp &dsp = *params.dsp;
+    Pixel buf[16 * 16];
+    const Pixel *cur = blk.cur->row(blk.y0) + blk.x0;
+    auto cost_of = [&](MotionVector mv, int *d) {
+        predict(mv, buf, 16);
+        *d = use_satd ? dsp.satd_rect(cur, blk.cur->stride(), buf, 16,
+                                      blk.w, blk.h)
+                      : dsp.sad_rect(cur, blk.cur->stride(), buf, 16,
+                                     blk.w, blk.h);
+        return *d + mv_rate_cost(mv, pred, params.lambda16);
+    };
+    MeResult best;
+    best.mv = start;
+    best.cost = cost_of(start, &best.sad);
+    for (int step : steps) {
+        bool improved = true;
+        for (int round = 0; round < 2 && improved; ++round) {
+            improved = false;
+            static const int kDx[8] = {-1, 1, 0, 0, -1, -1, 1, 1};
+            static const int kDy[8] = {0, 0, -1, 1, -1, 1, -1, 1};
+            const MotionVector center = best.mv;
+            for (int i = 0; i < 8; ++i) {
+                const MotionVector mv{
+                    static_cast<s16>(center.x + kDx[i] * step),
+                    static_cast<s16>(center.y + kDy[i] * step)};
+                int d = 0;
+                const int cost = cost_of(mv, &d);
+                if (cost < best.cost) {
+                    best = {mv, cost, d};
+                    improved = true;
+                }
+            }
+        }
+    }
+    return best;
+}
+
+/** The skipping walk against refine_rescoring on random blocks: same
+ * MeResult every time, strictly fewer distortion calls in total. */
+void
+expect_same_walk_fewer_calls(std::initializer_list<int> steps)
+{
+    const Dsp &dsp = get_dsp(best_simd_level());
+    g_counted_dsp = &dsp;
+    Dsp counting = dsp;
+    counting.sad_rect = counted_sad_rect;
+    counting.satd_rect = counted_satd_rect;
+    const MeParams params{16, 32, 2, &counting, 0};
+
+    // cur is ref at a quarter-sample offset plus noise, so walks from
+    // nearby starts move and turn back on themselves.
+    const Plane ref = random_plane(96, 96, 31);
+    Plane smooth(96, 96, kRefBorder);
+    for (int y = 0; y < 96; ++y)
+        for (int x = 0; x < 96; ++x)
+            smooth.at(x, y) = static_cast<Pixel>(
+                (ref.at(x, y) + ref.at(std::min(x + 1, 95), y) +
+                 ref.at(x, std::min(y + 1, 95)) +
+                 ref.at(std::min(x + 1, 95), std::min(y + 1, 95)) + 2) >>
+                2);
+    smooth.extend_borders();
+    Plane cur(96, 96, kRefBorder);
+    std::mt19937 rng(47);
+    for (int y = 0; y < 96; y += 16)
+        for (int x = 0; x < 96; x += 16)
+            mc_h264_luma(smooth, x, y, {3, -2}, cur.row(y) + x,
+                         cur.stride(), 16, 16, dsp);
+    for (int y = 0; y < 96; ++y)
+        for (int x = 0; x < 96; ++x)
+            cur.at(x, y) = clamp_pixel(cur.at(x, y) +
+                                       static_cast<int>(rng() % 5) - 2);
+
+    const auto near = [&] {
+        return static_cast<s16>(static_cast<int>(rng() % 9) - 4);
+    };
+    long walk_calls = 0;
+    long rescoring_calls = 0;
+    for (int trial = 0; trial < 48; ++trial) {
+        const int size = 8 << (trial % 2);
+        const MeBlock blk{&cur, &smooth, 16 + static_cast<int>(rng() % 56),
+                          16 + static_cast<int>(rng() % 56), size,
+                          16 - 8 * (trial % 4 / 2)};
+        const MotionVector start{near(), near()};
+        const MotionVector pred{near(), near()};
+        const auto predict = [&](MotionVector mv, Pixel *dst, int ds) {
+            mc_h264_luma(smooth, blk.x0, blk.y0, mv, dst, ds, blk.w,
+                         blk.h, dsp);
+        };
+        for (bool satd : {false, true}) {
+            SCOPED_TRACE("trial " + std::to_string(trial) +
+                         (satd ? " satd" : " sad"));
+            g_distortion_calls = 0;
+            const MeResult walk = subpel_refine(blk, start, pred, params,
+                                                steps, satd, predict);
+            walk_calls += g_distortion_calls;
+            g_distortion_calls = 0;
+            const MeResult rescoring = refine_rescoring(
+                blk, start, pred, params, steps, satd, predict);
+            rescoring_calls += g_distortion_calls;
+            EXPECT_EQ(walk.mv, rescoring.mv);
+            EXPECT_EQ(walk.cost, rescoring.cost);
+            EXPECT_EQ(walk.sad, rescoring.sad);
+        }
+    }
+    EXPECT_LT(walk_calls, rescoring_calls);
+}
+
+TEST(SubpelRefine, SkipsRevisitsHalfSampleSteps)
+{
+    expect_same_walk_fewer_calls({1});
+}
+
+TEST(SubpelRefine, SkipsRevisitsDoubleSteps)
+{
+    expect_same_walk_fewer_calls({2});
+}
+
+TEST(SubpelRefine, SkipsRevisitsQuarterSampleWalk)
+{
+    expect_same_walk_fewer_calls({2, 1});
 }
 
 TEST(MvRateCost, GrowsWithDistanceFromPredictor)

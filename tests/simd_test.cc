@@ -9,14 +9,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "dsp/dct_ref.h"
+#include "dsp/quant.h"
 #include "simd/dispatch.h"
 #include "video/plane.h"
 
@@ -165,6 +168,46 @@ TEST_P(KernelEquivalence, Satd)
     }
 }
 
+TEST_P(KernelEquivalence, SatdExtremes)
+{
+    // The largest Hadamard magnitudes: a flat +-255 difference puts
+    // 16 x 255 in each block's DC, and +-255 checkerboards put it in
+    // the highest-frequency coefficient; no coefficient can grow
+    // larger.
+    constexpr int kSide = 16;
+    std::vector<Pixel> zeros(kSide * kSide, 0);
+    std::vector<Pixel> full(kSide * kSide, 255);
+    std::vector<Pixel> check(kSide * kSide);
+    std::vector<Pixel> inverse(kSide * kSide);
+    for (int y = 0; y < kSide; ++y) {
+        for (int x = 0; x < kSide; ++x) {
+            check[y * kSide + x] = ((x + y) & 1) ? 255 : 0;
+            inverse[y * kSide + x] = ((x + y) & 1) ? 0 : 255;
+        }
+    }
+    const std::pair<const Pixel *, const Pixel *> cases[] = {
+        {full.data(), zeros.data()},
+        {zeros.data(), full.data()},
+        {check.data(), inverse.data()},
+        {inverse.data(), check.data()},
+    };
+    for (const auto &[a, b] : cases) {
+        for (int w : {4, 8, 12, 16}) {
+            for (int h : {4, 8, 12, 16}) {
+                EXPECT_EQ(scalar_.satd_rect(a, kSide, b, kSide, w, h),
+                          simd_->satd_rect(a, kSide, b, kSide, w, h))
+                    << "w=" << w << " h=" << h;
+            }
+        }
+        EXPECT_EQ(scalar_.satd4x4(a, kSide, b, kSide),
+                  simd_->satd4x4(a, kSide, b, kSide));
+    }
+    // A flat difference's SATD is exactly its DC term.
+    EXPECT_EQ(simd_->satd_rect(full.data(), kSide, zeros.data(), kSide,
+                               16, 16),
+              16 * 16 * 255 / 2);
+}
+
 TEST_P(KernelEquivalence, SseRect)
 {
     const Pixel *a = buf_a_.data() + 2;
@@ -289,6 +332,114 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(simd_level_name(
                    static_cast<SimdLevel>(std::get<1>(info.param)))) +
                "_trial" + std::to_string(std::get<0>(info.param));
+    });
+
+/** Quantiser kernels against their scalar references, exhaustively
+ * over every s16 input, once per non-scalar level. */
+class QuantKernelEquivalence : public ::testing::TestWithParam<int>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const SimdLevel level = static_cast<SimdLevel>(GetParam());
+        if (level > detected_simd_level()) {
+            GTEST_SKIP() << simd_level_name(level)
+                         << " not supported on this CPU/build";
+        }
+        simd_ = &get_dsp(level);
+        ASSERT_STREQ(simd_->name, simd_level_name(level));
+    }
+
+    /** Every s16 value once, in 64-coefficient blocks. */
+    static std::vector<Coeff>
+    every_s16()
+    {
+        std::vector<Coeff> all(1 << 16);
+        for (int i = 0; i < (1 << 16); ++i)
+            all[static_cast<size_t>(i)] = static_cast<Coeff>(i - 32768);
+        return all;
+    }
+
+    const Dsp &scalar_ = get_dsp(SimdLevel::kScalar);
+    const Dsp *simd_ = nullptr;
+};
+
+TEST_P(QuantKernelEquivalence, Mpeg8x8)
+{
+    // Steps 2..321 span every intra and inter matrix entry at qscale
+    // 1..31 under both step shifts. Position i of round r gets step
+    // 2 + (r + 5 i) % 320, so over the rounds every input value meets
+    // every step, at varying positions.
+    const std::vector<Coeff> all = every_s16();
+    for (int dead_zone : {0, 8, 16, 32}) {
+        for (int round = 0; round < 320; ++round) {
+            MpegQuantTable q;
+            for (int i = 0; i < 64; ++i) {
+                const int step = 2 + (round + 5 * i) % 320;
+                q.step[i] = static_cast<s16>(step);
+                q.offset[i] = static_cast<s16>((step * dead_zone) >> 6);
+            }
+            for (size_t at = 0; at < all.size(); at += 64) {
+                Coeff ref[64];
+                Coeff got[64];
+                std::copy(&all[at], &all[at] + 64, ref);
+                std::copy(&all[at], &all[at] + 64, got);
+                const int nz_ref = scalar_.mpeg_quant8x8(ref, q);
+                const int nz_got = simd_->mpeg_quant8x8(got, q);
+                ASSERT_EQ(nz_ref, nz_got)
+                    << "dead_zone=" << dead_zone << " round=" << round
+                    << " block=" << at / 64;
+                ASSERT_TRUE(std::equal(ref, ref + 64, got))
+                    << "dead_zone=" << dead_zone << " round=" << round
+                    << " block=" << at / 64;
+                // Dequantise every s16 level, not just quantiser output.
+                std::copy(&all[at], &all[at] + 64, ref);
+                std::copy(&all[at], &all[at] + 64, got);
+                scalar_.mpeg_dequant8x8(ref, q);
+                simd_->mpeg_dequant8x8(got, q);
+                ASSERT_TRUE(std::equal(ref, ref + 64, got))
+                    << "dequant round=" << round << " block=" << at / 64;
+            }
+        }
+    }
+}
+
+TEST_P(QuantKernelEquivalence, H264_4x4)
+{
+    const std::vector<Coeff> all = every_s16();
+    for (int qp = 0; qp < kH264QpCount; ++qp) {
+        for (bool intra : {false, true}) {
+            const H264Quantizer ref_q(qp, intra, scalar_);
+            const H264Quantizer got_q(qp, intra, *simd_);
+            for (size_t at = 0; at < all.size(); at += 16) {
+                Coeff ref[16];
+                Coeff got[16];
+                std::copy(&all[at], &all[at] + 16, ref);
+                std::copy(&all[at], &all[at] + 16, got);
+                ASSERT_EQ(ref_q.quantize4x4(ref), got_q.quantize4x4(got))
+                    << "qp=" << qp << " intra=" << intra
+                    << " block=" << at / 16;
+                ASSERT_TRUE(std::equal(ref, ref + 16, got))
+                    << "qp=" << qp << " intra=" << intra
+                    << " block=" << at / 16;
+                std::copy(&all[at], &all[at] + 16, ref);
+                std::copy(&all[at], &all[at] + 16, got);
+                ref_q.dequantize4x4(ref);
+                got_q.dequantize4x4(got);
+                ASSERT_TRUE(std::equal(ref, ref + 16, got))
+                    << "dequant qp=" << qp << " block=" << at / 16;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryInput, QuantKernelEquivalence,
+    ::testing::Range(1, kSimdLevelCount),
+    [](const ::testing::TestParamInfo<int> &info) {
+        return std::string(
+            simd_level_name(static_cast<SimdLevel>(info.param)));
     });
 
 // ---- transform accuracy against the double-precision reference ----
