@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/loadgen_traffic.h"
 #include "common/json_writer.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -57,11 +58,10 @@
 #include "synth/synth.h"
 
 using namespace hdvb;
+using namespace hdvb::bench;
 
 namespace {
 
-constexpr int kWidth = 96;
-constexpr int kHeight = 64;
 constexpr int kWorkers = 2;          ///< fixed: the stall victims must
                                      ///< be able to wedge every worker
 constexpr int kPerClass = 2;         ///< unaffected sessions per class
@@ -69,16 +69,6 @@ constexpr int kCorruptVictims = 4;
 constexpr int kStallVictims = 2;     ///< == kWorkers, by design
 constexpr int kChurnAttempts = 3;
 constexpr int kShedQueueDepth = 6;
-
-CodecConfig
-tiny_config(CodecId codec)
-{
-    CodecConfig cfg = benchmark_config(codec, Resolution::k576p25,
-                                       best_simd_level());
-    cfg.width = kWidth;
-    cfg.height = kHeight;
-    return cfg;
-}
 
 CodecConfig
 victim_config()
@@ -168,36 +158,15 @@ digest_session_output(CodecSession *session)
 // Deterministic traffic shared by both passes.
 // ---------------------------------------------------------------------
 
-CodecId
-codec_for(int session_index)
-{
-    return kAllCodecs[session_index % kCodecCount];
-}
-
 /** Encode the thumbnail replay streams and the corrupt victims' clean
  * source stream once, up front. */
 Status
 prepare_streams(int frames, std::vector<Packet> streams[kCodecCount],
                 EncodedStream *victim_clean)
 {
-    for (CodecId codec : kAllCodecs) {
-        const CodecConfig cfg = tiny_config(codec);
-        StatusOr<std::unique_ptr<VideoEncoder>> encoder =
-            make_encoder(codec, cfg);
-        if (!encoder.is_ok())
-            return encoder.status();
-        SyntheticSource source(SequenceId::kRushHour, kWidth, kHeight);
-        std::vector<Packet> *out = &streams[static_cast<int>(codec)];
-        for (int i = 0; i < frames; ++i) {
-            const Status status =
-                encoder.value()->encode(source.next(), out);
-            if (!status.is_ok())
-                return status;
-        }
-        const Status status = encoder.value()->flush(out);
-        if (!status.is_ok())
-            return status;
-    }
+    const Status thumbnails = encode_tiny_streams(frames, streams);
+    if (!thumbnails.is_ok())
+        return thumbnails;
 
     const CodecConfig cfg = victim_config();
     StatusOr<std::unique_ptr<VideoEncoder>> encoder =

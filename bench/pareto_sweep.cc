@@ -4,10 +4,8 @@
  * SIMD tier, encoded at every approximation level (CodecConfig::approx
  * 0..3), measuring encode fps (repeat/CoV medians) and the PSNR and
  * bitrate cost of each level against the exact level 0 run on the same
- * tier. Writes a schema-versioned `hdvb-pareto/1` JSON; the best-tier
- * subset (and numbers) is embedded into `BENCH_<n>.json` by
- * regression_sweep, where bench_compare gates it against the committed
- * baseline.
+ * tier. Writes a schema-versioned `hdvb-pareto/1` JSON report; it is
+ * an ungated report producer (EXPERIMENTS.md E13).
  *
  * Usage: pareto_sweep [--smoke] [--json OUT] [--repeats N]
  *        [--frames N]
@@ -15,16 +13,117 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.h"
 #include "common/json_writer.h"
-#include "core/pareto_bench.h"
+#include "common/stats.h"
 #include "core/report.h"
+#include "core/runner.h"
 
 using namespace hdvb;
 
 namespace {
+
+/** Highest CodecConfig::approx level (levels are 0..kApproxLevels-1,
+ * matching CodecConfig::validate). */
+constexpr int kApproxLevels = 4;
+
+/** One measured (codec, SIMD tier, approx level) encode point. fps is
+ * the median over the timed repeats; deltas compare against the
+ * approx=0 point of the same codec and tier. */
+struct ParetoPointBench {
+    CodecId codec = CodecId::kMpeg2;
+    SimdLevel simd = SimdLevel::kScalar;
+    int approx = 0;
+
+    double fps = 0.0;  ///< encode fps, median over repeats
+    double fps_cov = 0.0;
+    double psnr_db = 0.0;  ///< decoded PSNR-Y against the source
+    double bitrate_kbps = 0.0;
+
+    double speedup = 1.0;        ///< fps / fps(approx 0), same tier
+    double psnr_delta_db = 0.0;  ///< psnr - psnr(approx 0)
+    double bitrate_delta_pct = 0.0;
+
+    /** "h264/approx2/sse2" — the JSON label. */
+    std::string
+    label() const
+    {
+        return std::string(codec_name(codec)) + "/approx" +
+               std::to_string(approx) + "/" + simd_level_name(simd);
+    }
+};
+
+/**
+ * Encode @p frames of @p sequence with @p codec at @p res and @p simd
+ * for every approximation level 0..3, @p repeats timed repeats each
+ * (plus one warm-up), then decode each stream once for PSNR. Returns
+ * one point per level with the deltas against level 0 filled in.
+ */
+StatusOr<std::vector<ParetoPointBench>>
+bench_pareto_codec(CodecId codec, Resolution res, SequenceId sequence,
+                   SimdLevel simd, int frames, int repeats)
+{
+    std::vector<ParetoPointBench> points;
+    points.reserve(kApproxLevels);
+    for (int approx = 0; approx < kApproxLevels; ++approx) {
+        BenchPoint point;
+        point.codec = codec;
+        point.sequence = sequence;
+        point.resolution = res;
+        point.frames = frames;
+        point.simd = simd;
+        CodecConfig cfg = point.effective_config();
+        cfg.approx = approx;
+        point.config = cfg;
+
+        ParetoPointBench bench;
+        bench.codec = codec;
+        bench.simd = simd;
+        bench.approx = approx;
+
+        // Warm-up (pools, page faults), then the timed repeats.
+        std::vector<double> fps;
+        EncodedStream stream;
+        for (int run = 0; run < repeats + 1; ++run) {
+            StatusOr<EncodeRun> result = run_encode(point);
+            if (!result.is_ok())
+                return result.status();
+            if (run == 0)
+                continue;
+            fps.push_back(result.value().fps());
+            if (run == repeats) {
+                bench.bitrate_kbps = result.value().bitrate_kbps();
+                stream = std::move(result.value().stream);
+            }
+        }
+        const SampleSummary summary = summarize(std::move(fps));
+        bench.fps = summary.median;
+        bench.fps_cov = summary.cov;
+
+        const StatusOr<DecodeRun> decoded = run_decode(point, stream);
+        if (!decoded.is_ok())
+            return decoded.status();
+        bench.psnr_db = decoded.value().psnr_y;
+
+        points.push_back(bench);
+    }
+
+    const ParetoPointBench &exact = points.front();
+    for (ParetoPointBench &bench : points) {
+        bench.speedup =
+            exact.fps > 0.0 ? bench.fps / exact.fps : 0.0;
+        bench.psnr_delta_db = bench.psnr_db - exact.psnr_db;
+        bench.bitrate_delta_pct =
+            exact.bitrate_kbps > 0.0
+                ? 100.0 * (bench.bitrate_kbps / exact.bitrate_kbps -
+                           1.0)
+                : 0.0;
+    }
+    return points;
+}
 
 struct Options {
     bool smoke = false;

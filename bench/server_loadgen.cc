@@ -18,8 +18,9 @@
  * back as exactly one TicketResult, and the process exits non-zero on
  * any miscount — the property the smoke/TSAN ctest entries gate on.
  *
- * Frames are tiny (96x64) so the interesting contention is in the
- * scheduler, not the DCTs. --smoke shrinks frame counts for CI.
+ * Frames are tiny (bench/loadgen_traffic.h) so the interesting
+ * contention is in the scheduler, not the DCTs. --smoke shrinks frame
+ * counts for CI.
  */
 #include <algorithm>
 #include <cstdio>
@@ -28,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/loadgen_traffic.h"
 #include "common/json_writer.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -38,11 +40,9 @@
 #include "synth/synth.h"
 
 using namespace hdvb;
+using namespace hdvb::bench;
 
 namespace {
-
-constexpr int kWidth = 96;
-constexpr int kHeight = 64;
 
 /** One traffic class's shape. */
 struct ClassPlan {
@@ -64,48 +64,6 @@ struct ClassMetrics {
     s64 deadline_missed = 0;
     s64 rejected_submits = 0;  ///< backpressure retries
 };
-
-CodecId
-codec_for(int session_index)
-{
-    return kAllCodecs[session_index % kCodecCount];
-}
-
-CodecConfig
-tiny_config(CodecId codec)
-{
-    CodecConfig cfg = benchmark_config(codec, Resolution::k576p25,
-                                       best_simd_level());
-    cfg.width = kWidth;
-    cfg.height = kHeight;
-    return cfg;
-}
-
-/** Encode frames_per_session tiny pictures per codec once, up front;
- * thumbnail decode sessions replay these streams. */
-Status
-prepare_streams(int frames, std::vector<Packet> streams[kCodecCount])
-{
-    for (CodecId codec : kAllCodecs) {
-        const CodecConfig cfg = tiny_config(codec);
-        StatusOr<std::unique_ptr<VideoEncoder>> encoder =
-            make_encoder(codec, cfg);
-        if (!encoder.is_ok())
-            return encoder.status();
-        SyntheticSource source(SequenceId::kRushHour, kWidth, kHeight);
-        std::vector<Packet> *out = &streams[static_cast<int>(codec)];
-        for (int i = 0; i < frames; ++i) {
-            const Status status =
-                encoder.value()->encode(source.next(), out);
-            if (!status.is_ok())
-                return status;
-        }
-        const Status status = encoder.value()->flush(out);
-        if (!status.is_ok())
-            return status;
-    }
-    return Status::ok();
-}
 
 /**
  * Feed one class's sessions round-robin: frame i goes to every session
@@ -253,7 +211,7 @@ main(int argc, char **argv)
                 smoke ? " [smoke]" : "");
 
     std::vector<Packet> streams[kCodecCount];
-    const Status prepared = prepare_streams(frames, streams);
+    const Status prepared = encode_tiny_streams(frames, streams);
     if (!prepared.is_ok()) {
         std::fprintf(stderr, "stream preparation failed: %s\n",
                      prepared.to_string().c_str());

@@ -1,10 +1,7 @@
 #include "common/cli.h"
 
-#include <cctype>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -47,40 +44,6 @@ cli_int_value(int argc, char **argv, int *i, int min_value,
     if (!text.is_ok())
         return text.status();
     return cli_int(flag, text.value(), min_value, max_value);
-}
-
-StatusOr<double>
-cli_double(const char *flag, const char *text, double min_value,
-           double max_value)
-{
-    // std::strtod instead of from_chars: the double overload is the
-    // one piece of <charconv> older standard libraries still lack.
-    // strtod skips leading whitespace, which the strict contract
-    // forbids, so guard that case explicitly.
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (std::isspace(static_cast<unsigned char>(text[0])) ||
-        end == text || *end != '\0' || !std::isfinite(value))
-        return Status::invalid_argument(std::string(flag) +
-                                        ": not a finite number: \"" +
-                                        text + "\"");
-    if (value < min_value || value > max_value)
-        return Status::invalid_argument(
-            std::string(flag) + ": " + std::to_string(value) +
-            " out of range [" + std::to_string(min_value) + ", " +
-            std::to_string(max_value) + "]");
-    return value;
-}
-
-StatusOr<double>
-cli_double_value(int argc, char **argv, int *i, double min_value,
-                 double max_value)
-{
-    const char *flag = argv[*i];
-    const StatusOr<const char *> text = cli_value(argc, argv, i);
-    if (!text.is_ok())
-        return text.status();
-    return cli_double(flag, text.value(), min_value, max_value);
 }
 
 int

@@ -14,7 +14,6 @@
 #ifndef HDVB_COMMON_CLI_H
 #define HDVB_COMMON_CLI_H
 
-#include <cfloat>
 #include <climits>
 
 #include "common/status.h"
@@ -40,21 +39,6 @@ StatusOr<int> cli_int(const char *flag, const char *text,
 StatusOr<int> cli_int_value(int argc, char **argv, int *i,
                             int min_value = INT_MIN,
                             int max_value = INT_MAX);
-
-/**
- * Strictly parsed finite double @p text for flag @p flag; same
- * whole-token contract as cli_int ("2.5x", "" and "nan" are errors,
- * not prefixes or values) plus an inclusive [@p min_value,
- * @p max_value] range check.
- */
-StatusOr<double> cli_double(const char *flag, const char *text,
-                            double min_value = -DBL_MAX,
-                            double max_value = DBL_MAX);
-
-/** cli_value() + cli_double() for the flag at argv[*i]. */
-StatusOr<double> cli_double_value(int argc, char **argv, int *i,
-                                  double min_value = -DBL_MAX,
-                                  double max_value = DBL_MAX);
 
 /** Print @p status to stderr as "<prog>: <message>" and return the
  * conventional CLI exit code 2 (usage error). */

@@ -117,7 +117,7 @@ JsonWriter::value(double number)
         return *this;
     }
     // Shortest round-trip formatting. snprintf("%.6g") had two bugs
-    // the BENCH comparator cannot live with: the decimal separator
+    // no report reader can live with: the decimal separator
     // follows LC_NUMERIC (a comma locale emitted invalid JSON), and 6
     // significant digits quantized every measurement. std::to_chars
     // is locale-independent and emits the shortest string that parses
@@ -126,14 +126,6 @@ JsonWriter::value(double number)
     const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), number);
     HDVB_DCHECK(ec == std::errc());
     out_.append(buf, ptr);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value_null()
-{
-    separate();
-    out_ += "null";
     return *this;
 }
 

@@ -31,12 +31,10 @@ class JsonWriter
     JsonWriter &value(const std::string &text);
     JsonWriter &value(const char *text);
     /** Locale-independent shortest-round-trip double formatting
-     * (std::to_chars): the emitted text parses back — via the
-     * reader's std::from_chars — to exactly this double, and the
-     * bytes do not depend on LC_NUMERIC. */
+     * (std::to_chars): the emitted text parses back with
+     * std::from_chars to exactly this double, and the bytes do not
+     * depend on LC_NUMERIC. Non-finite doubles emit null. */
     JsonWriter &value(double number);
-    /** Explicit JSON null (non-finite doubles also emit null). */
-    JsonWriter &value_null();
     JsonWriter &value(s64 number);
     JsonWriter &value(int number) { return value(static_cast<s64>(number)); }
     JsonWriter &value(u64 number);

@@ -4,8 +4,8 @@
  * percentiles, median, and coefficient of variation. Both loadgens
  * used to carry private `percentile()` copies that truncated the rank
  * (p99 of a small sample collapsed toward p50) and re-sorted a
- * by-value copy on every call; the sweep engine's repeat/CoV reporting
- * and the BENCH comparator's noise gate need one audited
+ * by-value copy on every call; the loadgens' percentiles and the
+ * pareto/transcode sweeps' repeat medians and CoVs need one audited
  * implementation instead.
  *
  * Convention: callers sort a sample set once (sort_samples) and then
@@ -46,10 +46,10 @@ double mean(const std::vector<double> &samples);
 double sample_stddev(const std::vector<double> &samples);
 
 /**
- * Coefficient of variation: sample stddev over |mean|. The
- * dimensionless noise estimate the sweep schema publishes per point
- * and the BENCH comparator turns into a regression threshold. 0.0 for
- * N < 2 (no spread information) or a zero mean (undefined).
+ * Coefficient of variation: sample stddev over |mean|, the
+ * dimensionless run-to-run noise estimate the pareto and transcode
+ * sweeps publish next to each median. 0.0 for N < 2 (no spread
+ * information) or a zero mean (undefined).
  */
 double coefficient_of_variation(const std::vector<double> &samples);
 

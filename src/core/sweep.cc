@@ -1,6 +1,5 @@
 #include "core/sweep.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <sys/resource.h>
@@ -9,7 +8,6 @@
 #include "common/check.h"
 #include "common/json_writer.h"
 #include "common/log.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "metrics/timer.h"
 
@@ -24,14 +22,6 @@ current_peak_rss_kb()
     if (getrusage(RUSAGE_SELF, &usage) != 0)
         return 0;
     return usage.ru_maxrss;  // kilobytes on Linux
-}
-
-void
-ensure_parent_dir(const std::string &path)
-{
-    const size_t slash = path.rfind('/');
-    if (slash != std::string::npos && slash > 0)
-        ::mkdir(path.substr(0, slash).c_str(), 0755);
 }
 
 }  // namespace
@@ -50,34 +40,6 @@ stream_cache_path(const std::string &cache_dir, const BenchPoint &point)
 SweepRunner::SweepRunner(SweepOptions options)
     : options_(std::move(options))
 {
-}
-
-double
-SweepResult::encode_fps_median() const
-{
-    return encode_fps_samples.empty()
-               ? encode_fps()
-               : summarize(encode_fps_samples).median;
-}
-
-double
-SweepResult::encode_fps_cov() const
-{
-    return coefficient_of_variation(encode_fps_samples);
-}
-
-double
-SweepResult::decode_fps_median() const
-{
-    return decode_fps_samples.empty()
-               ? decode_fps()
-               : summarize(decode_fps_samples).median;
-}
-
-double
-SweepResult::decode_fps_cov() const
-{
-    return coefficient_of_variation(decode_fps_samples);
 }
 
 Status
@@ -184,37 +146,7 @@ SweepRunner::run_point(const BenchPoint &point, int worker,
     WallTimer wall;
     wall.start();
 
-    // Repeat schedule: one untimed warm-up run when repeats >= 2
-    // (stream cache, frame pools and branch predictors settle), then
-    // `repeats` timed runs whose fps enters the sample set. The
-    // published scalar measurements are the last timed run's; the
-    // samples carry the spread.
-    const int repeats = std::max(1, options_.repeats);
-    const int total_runs = repeats > 1 ? repeats + 1 : repeats;
-    std::vector<double> encode_samples;
-    std::vector<double> decode_samples;
-    SweepResult result;
-    for (int run = 0; run < total_runs; ++run) {
-        SweepResult trial = measure_point(point, worker);
-        const bool failed = !trial.status.is_ok();
-        const bool warmup = repeats > 1 && run == 0;
-        if (!failed && !warmup) {
-            if (trial.encode_measured)
-                encode_samples.push_back(trial.encode_fps());
-            if (trial.decode_measured)
-                decode_samples.push_back(trial.decode_fps());
-        }
-        if (!warmup || failed)
-            result = std::move(trial);
-        if (failed)
-            break;  // a failing point does not get re-measured
-    }
-    result.repeats = static_cast<int>(
-        std::max(encode_samples.size(), decode_samples.size()));
-    if (result.repeats == 0)
-        result.repeats = 1;
-    result.encode_fps_samples = std::move(encode_samples);
-    result.decode_fps_samples = std::move(decode_samples);
+    SweepResult result = measure_point(point, worker);
 
     wall.stop();
     result.wall_seconds = wall.seconds();
@@ -268,7 +200,7 @@ SweepRunner::write_report(const std::vector<SweepResult> &results) const
 {
     JsonWriter json;
     json.begin_object();
-    json.field("schema", "hdvb-sweep/6");
+    json.field("schema", "hdvb-sweep/7");
     json.field("simd_detected", simd_level_name(detected_simd_level()));
     json.field("simd_best", simd_level_name(best_simd_level()));
     json.field("jobs", options_.jobs > 0 ? options_.jobs
@@ -291,7 +223,6 @@ SweepRunner::write_report(const std::vector<SweepResult> &results) const
             json.field("error", r.status.message());
         json.field("attempts", r.attempts);
         json.field("timed_out", r.timed_out);
-        json.field("repeats", r.repeats);
         json.field("fault_injected",
                    r.point.fault.has_value() &&
                        !r.point.fault->is_noop());
@@ -305,8 +236,6 @@ SweepRunner::write_report(const std::vector<SweepResult> &results) const
             json.field("frames", r.encode_frames);
             json.field("seconds", r.encode_seconds);
             json.field("fps", r.encode_fps());
-            json.field("fps_median", r.encode_fps_median());
-            json.field("fps_cov", r.encode_fps_cov());
             json.end_object();
         }
         if (r.decode_measured) {
@@ -315,8 +244,6 @@ SweepRunner::write_report(const std::vector<SweepResult> &results) const
             json.field("frames", r.decode_frames);
             json.field("seconds", r.decode_seconds);
             json.field("fps", r.decode_fps());
-            json.field("fps_median", r.decode_fps_median());
-            json.field("fps_cov", r.decode_fps_cov());
             json.field("psnr_y", r.psnr_y);
             json.field("psnr_all", r.psnr_all);
             json.key("concealment");
@@ -337,26 +264,9 @@ SweepRunner::write_report(const std::vector<SweepResult> &results) const
     json.end_array();
     json.end_object();
 
-    // Atomic publish: write next to the target, then rename over it,
-    // so a concurrent reader never sees a half-written report.
-    ensure_parent_dir(options_.json_path);
-    const std::string tmp_path = options_.json_path + ".tmp";
-    std::FILE *f = std::fopen(tmp_path.c_str(), "w");
-    if (f == nullptr)
-        return Status::invalid_argument("cannot open " + tmp_path);
-    const std::string &text = json.str();
-    const bool ok =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-        std::fputc('\n', f) != EOF;
-    if (std::fclose(f) != 0 || !ok) {
-        std::remove(tmp_path.c_str());
-        return Status::internal("short write to " + tmp_path);
-    }
-    if (std::rename(tmp_path.c_str(), options_.json_path.c_str()) != 0) {
-        std::remove(tmp_path.c_str());
-        return Status::internal("cannot rename " + tmp_path);
-    }
-    return Status::ok();
+    // Atomic publish (temp file + rename): a concurrent reader never
+    // sees a half-written report.
+    return json.write_file(options_.json_path);
 }
 
 std::vector<BenchPoint>

@@ -17,18 +17,15 @@
  * completion order, so table output is deterministic, and the engine
  * records per-point observability (wall time, worker id, peak-RSS
  * growth over the sweep) which it can emit as a machine-readable JSON
- * report (schema hdvb-sweep/6: hdvb-sweep/4 added the machine's
+ * report (schema hdvb-sweep/7: hdvb-sweep/4 added the machine's
  * detected and effective SIMD levels at the top level, next to the
  * per-point "simd" field, so a report is attributable to silicon; /5
  * added the per-point "allocs_per_frame" column — frame-pool heap
  * allocations over frames processed, ~0 in steady state with pooling
  * on — so allocation regressions on the hot path show up in reports;
- * /6 adds repeat-based noise quantification: SweepOptions::repeats
- * re-measures each point after a warm-up run, and every point carries
- * "repeats" plus per-direction "fps_median" and "fps_cov" — the
- * coefficient of variation the BENCH comparator turns into a
- * regression threshold, so a consumer can tell a real slowdown from
- * run-to-run jitter).
+ * /6 added per-point "repeats" with "fps_median"/"fps_cov"; /7 drops
+ * them again: each point is measured once, and steady-state timing is
+ * hdvbench's job).
  */
 #ifndef HDVB_CORE_SWEEP_H
 #define HDVB_CORE_SWEEP_H
@@ -82,25 +79,6 @@ struct SweepResult {
      * point's encoder and decoder. With pooling on this is the warm-up
      * cost only; it keeps growing per picture when pooling is off. */
     s64 pool_allocs = 0;
-
-    // ---- repeat / noise measurement (SweepOptions::repeats) ----
-    /** Timed repetitions actually measured (1 without repeats). The
-     * scalar measurement fields above are the *last* repetition's;
-     * the samples below hold every repetition's fps. */
-    int repeats = 1;
-    /** Per-repetition encode fps (empty when the encode was skipped). */
-    std::vector<double> encode_fps_samples;
-    /** Per-repetition decode fps (empty without measure_decode). */
-    std::vector<double> decode_fps_samples;
-
-    /** Median over encode_fps_samples; falls back to the single-run
-     * encode_fps() when no samples were collected. */
-    double encode_fps_median() const;
-    /** Coefficient of variation over encode_fps_samples (0 for fewer
-     * than two samples — no spread information). */
-    double encode_fps_cov() const;
-    double decode_fps_median() const;
-    double decode_fps_cov() const;
 
     /** The encoded stream (only with SweepOptions::keep_streams). */
     EncodedStream stream;
@@ -179,17 +157,6 @@ struct SweepOptions {
      * not interruptible. */
     double point_timeout_seconds = 0.0;
 
-    /** Timed measurement repetitions per point. 1 (the default) is
-     * the historical single timed run with no warm-up. >= 2 runs the
-     * point once untimed (warm-up: stream cache, frame pools, branch
-     * predictors) and then @p repeats timed times; every timed run's
-     * encode/decode fps enters the point's sample set, and the report
-     * publishes the median and coefficient of variation alongside the
-     * last run's full measurements. Failures abort the point's
-     * remaining repetitions (each run still gets the retry policy
-     * below). */
-    int repeats = 1;
-
     /** Retry-with-backoff for failed points (shared fault-subsystem
      * policy; see fault/retry.h). Retries re-run the whole point from
      * scratch. transient_only is forced off: a bench point is a
@@ -228,8 +195,7 @@ class SweepRunner
     SweepResult run_point(const BenchPoint &point, int worker,
                           long rss_baseline_kb) const;
     /** One complete measurement of @p point (encode + decode, with
-     * the retry policy applied); run_point invokes it once per
-     * warm-up/timed repetition. */
+     * the retry policy applied). */
     SweepResult measure_point(const BenchPoint &point, int worker) const;
     Status attempt_point(const BenchPoint &point,
                          SweepResult *result) const;

@@ -125,69 +125,6 @@ TEST(CliIntValue, PropagatesMissingValueAndBadNumber)
     }
 }
 
-TEST(CliDouble, ParsesFullToken)
-{
-    const StatusOr<double> v = cli_double("--sigma", "2.5");
-    ASSERT_TRUE(v.is_ok());
-    EXPECT_DOUBLE_EQ(v.value(), 2.5);
-    // Plain integers are valid doubles.
-    const StatusOr<double> i = cli_double("--sigma", "3");
-    ASSERT_TRUE(i.is_ok());
-    EXPECT_DOUBLE_EQ(i.value(), 3.0);
-}
-
-TEST(CliDouble, RejectsEverythingAtofSilentlyAccepted)
-{
-    // atof turned each of these into 0.0 or a silent prefix; nan/inf
-    // parsed "successfully" and then poisoned every threshold compare.
-    for (const char *bad : {"", "abc", "2.5x", "1e", "3 4", " 7",
-                            "nan", "inf", "-inf", "NaN"}) {
-        SCOPED_TRACE(std::string("token \"") + bad + "\"");
-        const StatusOr<double> v = cli_double("--floor-pct", bad);
-        ASSERT_FALSE(v.is_ok());
-        EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
-        EXPECT_NE(v.status().to_string().find("--floor-pct"),
-                  std::string::npos);
-    }
-}
-
-TEST(CliDouble, EnforcesInclusiveRange)
-{
-    EXPECT_FALSE(cli_double("--floor-pct", "-0.5", 0.0, 100.0).is_ok());
-    EXPECT_FALSE(cli_double("--floor-pct", "100.5", 0.0, 100.0).is_ok());
-    EXPECT_TRUE(cli_double("--floor-pct", "0", 0.0, 100.0).is_ok());
-    EXPECT_TRUE(cli_double("--floor-pct", "100", 0.0, 100.0).is_ok());
-}
-
-TEST(CliDoubleValue, CombinesLookupAndParse)
-{
-    Argv a({"prog", "--sigma", "4.5"});
-    int i = 1;
-    const StatusOr<double> v =
-        cli_double_value(a.argc(), a.argv(), &i, 0.0, 100.0);
-    ASSERT_TRUE(v.is_ok());
-    EXPECT_DOUBLE_EQ(v.value(), 4.5);
-    EXPECT_EQ(i, 2);
-}
-
-TEST(CliDoubleValue, PropagatesMissingValueAndBadNumber)
-{
-    {
-        Argv a({"prog", "--sigma"});
-        int i = 1;
-        EXPECT_EQ(
-            cli_double_value(a.argc(), a.argv(), &i).status().code(),
-            StatusCode::kInvalidArgument);
-    }
-    {
-        Argv a({"prog", "--sigma", "much"});
-        int i = 1;
-        EXPECT_EQ(
-            cli_double_value(a.argc(), a.argv(), &i).status().code(),
-            StatusCode::kInvalidArgument);
-    }
-}
-
 TEST(CliUsageError, ReturnsConventionalExitCode)
 {
     EXPECT_EQ(cli_usage_error("prog",

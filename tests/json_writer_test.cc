@@ -4,8 +4,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <clocale>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -75,7 +77,7 @@ TEST(JsonWriter, NonFiniteNumbersBecomeNull)
 TEST(JsonWriter, DoublesUseShortestRoundTripForm)
 {
     // The old "%.6g" emitter truncated 943.112437 to "943.112" —
-    // every fps in a BENCH file lost precision. std::to_chars emits
+    // every fps in a report lost precision. std::to_chars emits
     // the shortest string that strtod/from_chars maps back to the
     // exact same bits.
     JsonWriter json;
@@ -94,6 +96,39 @@ TEST(JsonWriter, DoublesUseShortestRoundTripForm)
     ints.value(-0.0);
     ints.end_array();
     EXPECT_EQ(ints.str(), "[25,-0]");
+}
+
+TEST(JsonWriter, DoubleRoundTripIsExact)
+{
+    // The report contract: every finite double the writer emits
+    // parses back (std::from_chars, as any strict reader does) to the
+    // same bits, extremes and signed zero included.
+    const double values[] = {
+        0.0,
+        -0.0,
+        1.0 / 3.0,
+        0.1,
+        2.5,
+        1e-300,
+        1.7976931348623157e308,   // DBL_MAX
+        4.9406564584124654e-324,  // min subnormal
+        123456789.123456789,
+        -987654321.0e-12,
+        943.112,
+        std::numeric_limits<double>::epsilon(),
+    };
+    for (const double v : values) {
+        JsonWriter json;
+        json.value(v);
+        const std::string &text = json.str();
+        double back = 0.0;
+        const auto [ptr, ec] =
+            std::from_chars(text.data(), text.data() + text.size(), back);
+        ASSERT_EQ(ec, std::errc()) << text;
+        EXPECT_EQ(ptr, text.data() + text.size()) << text;
+        EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0)
+            << "not bit-exact: " << text;
+    }
 }
 
 std::string

@@ -1,11 +1,11 @@
 /**
  * @file
  * Unit tests for the shared sample statistics (common/stats.h) — the
- * percentile/median/CoV layer under the loadgens' latency reports,
- * the sweep engine's repeat noise estimates, and the BENCH
- * comparator's thresholds. The small-N cases are the point: the old
- * per-loadgen percentile() truncated the rank, so p99 of a small
- * sample set could land on the same element as p50.
+ * percentile/median/CoV layer under the loadgens' latency reports and
+ * the pareto/transcode sweeps' repeat noise estimates. The small-N
+ * cases are the point: the old per-loadgen percentile() truncated the
+ * rank, so p99 of a small sample set could land on the same element
+ * as p50.
  */
 #include <gtest/gtest.h>
 

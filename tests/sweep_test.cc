@@ -186,15 +186,14 @@ TEST(SweepRunner, WritesJsonReport)
 
     const std::string report = read_file(path);
     ASSERT_FALSE(report.empty());
-    EXPECT_NE(report.find("\"schema\":\"hdvb-sweep/6\""),
+    EXPECT_NE(report.find("\"schema\":\"hdvb-sweep/7\""),
               std::string::npos);
     EXPECT_NE(report.find("\"jobs\":2"), std::string::npos);
-    // Schema 6: per-point repeat count and median/CoV fps fields
-    // (repeats defaults to 1, where median degenerates to the single
-    // run and CoV to zero).
-    EXPECT_NE(report.find("\"repeats\":1"), std::string::npos);
-    EXPECT_NE(report.find("\"fps_median\":"), std::string::npos);
-    EXPECT_NE(report.find("\"fps_cov\":"), std::string::npos);
+    // Schema 7: one measurement per point, so the schema-6 repeat
+    // count and median/CoV fields are gone.
+    EXPECT_EQ(report.find("\"repeats\""), std::string::npos);
+    EXPECT_EQ(report.find("\"fps_median\""), std::string::npos);
+    EXPECT_EQ(report.find("\"fps_cov\""), std::string::npos);
     // Schema 5: per-point frame-pool allocation rate.
     EXPECT_NE(report.find("\"allocs_per_frame\":"), std::string::npos);
     // Schema 4: the machine's detected and effective SIMD levels at
@@ -232,63 +231,6 @@ TEST(SweepRunner, WritesJsonReport)
     EXPECT_EQ(std::count(report.begin(), report.end(), '['),
               std::count(report.begin(), report.end(), ']'));
     std::remove(path.c_str());
-}
-
-TEST(SweepRunner, RepeatsCollectSamplesAndCov)
-{
-    // repeats=3 means one discarded warm-up plus three timed runs per
-    // point; the result carries all three samples and derives a
-    // median inside the sample range and a non-negative CoV.
-    const std::vector<BenchPoint> all = tiny_points();
-    const std::vector<BenchPoint> points(all.begin(), all.begin() + 2);
-
-    const std::string path =
-        ::testing::TempDir() + "/hdvb_sweep_repeats.json";
-    SweepOptions options;
-    options.jobs = 1;
-    options.repeats = 3;
-    options.json_path = path;
-    const std::vector<SweepResult> results =
-        SweepRunner(options).run(points);
-    ASSERT_EQ(results.size(), points.size());
-    for (const SweepResult &r : results) {
-        EXPECT_EQ(r.repeats, 3);
-        ASSERT_EQ(r.encode_fps_samples.size(), 3u);
-        ASSERT_EQ(r.decode_fps_samples.size(), 3u);
-        const auto [lo, hi] =
-            std::minmax_element(r.encode_fps_samples.begin(),
-                                r.encode_fps_samples.end());
-        EXPECT_GE(r.encode_fps_median(), *lo);
-        EXPECT_LE(r.encode_fps_median(), *hi);
-        EXPECT_GE(r.encode_fps_cov(), 0.0);
-        EXPECT_GE(r.decode_fps_cov(), 0.0);
-        // The published scalar fps is the last timed run, one of the
-        // samples.
-        bool found = false;
-        for (const double s : r.encode_fps_samples)
-            if (s == r.encode_fps())
-                found = true;
-        EXPECT_TRUE(found);
-    }
-
-    const std::string report = read_file(path);
-    EXPECT_NE(report.find("\"repeats\":3"), std::string::npos);
-    EXPECT_NE(report.find("\"fps_median\":"), std::string::npos);
-    EXPECT_NE(report.find("\"fps_cov\":"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(SweepRunner, SingleRepeatKeepsLegacySemantics)
-{
-    const std::vector<BenchPoint> all = tiny_points();
-    const std::vector<BenchPoint> points(all.begin(), all.begin() + 1);
-    SweepOptions options;
-    options.jobs = 1;  // repeats defaults to 1: no warm-up, one run
-    const SweepResult r = SweepRunner(options).run(points).front();
-    EXPECT_EQ(r.repeats, 1);
-    EXPECT_EQ(r.encode_fps_samples.size(), 1u);
-    EXPECT_DOUBLE_EQ(r.encode_fps_median(), r.encode_fps());
-    EXPECT_EQ(r.encode_fps_cov(), 0.0);
 }
 
 TEST(SweepRunner, FaultIsolationAndTimeout)
