@@ -37,7 +37,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -624,14 +623,12 @@ run_pass(bool chaos, int frames,
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string json_path = "hdvb_cache/chaos_report.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
+    LoadgenArgs args;
+    args.json_path = "hdvb_cache/chaos_report.json";
+    if (const int rc = parse_loadgen_args(argc, argv, &args); rc != 0)
+        return rc;
+    const bool smoke = args.smoke;
+    const std::string &json_path = args.json_path;
     const int frames = smoke ? 8 : 32;
 
     std::printf("HD-VideoBench chaos loadgen: %d workers, %d unaffected "

@@ -200,6 +200,81 @@ BENCHMARK(BM_SatdRect)
                 bench->Args({i, w, h});
     });
 
+/** Registers (level, w, h) for every detected level and each size. */
+void
+per_level_and_size(benchmark::internal::Benchmark *bench,
+                   std::initializer_list<std::pair<int, int>> sizes)
+{
+    bench->ArgNames({"level", "w", "h"});
+    for (int i = 0; i <= static_cast<int>(detected_simd_level()); ++i)
+        for (const auto &[w, h] : sizes)
+            bench->Args({i, w, h});
+}
+
+/** The square block sizes: a macroblock and an 8x8 block. */
+void
+square_sizes(benchmark::internal::Benchmark *bench)
+{
+    per_level_and_size(bench, {{16, 16}, {8, 8}});
+}
+
+/** The searched H.264 partition shapes, 8x16 aside (16x8 transposed). */
+void
+partition_sizes(benchmark::internal::Benchmark *bench)
+{
+    per_level_and_size(bench, {{16, 16}, {16, 8}, {8, 8}});
+}
+
+// ---- Costs against averaged candidates: compare with the build-then-
+// score pair BM_AvgRect16x16 + BM_Sad16x16 (or + BM_SatdRect16x16).
+
+void
+BM_SadAvgRect(benchmark::State &state)
+{
+    const Dsp &dsp = get_dsp(level_of(state));
+    const int w = static_cast<int>(state.range(1));
+    const int h = static_cast<int>(state.range(2));
+    TestData &d = data();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(dsp.sad_avg_rect(
+            d.a.data() + 8, kStride, d.b.data(), kStride,
+            d.b.data() + 1, kStride, w, h));
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK(BM_SadAvgRect)->Apply(square_sizes);
+
+void
+BM_SadAvg4Rect(benchmark::State &state)
+{
+    const Dsp &dsp = get_dsp(level_of(state));
+    const int w = static_cast<int>(state.range(1));
+    const int h = static_cast<int>(state.range(2));
+    TestData &d = data();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(dsp.sad_avg4_rect(
+            d.a.data() + 8, kStride, d.b.data(), kStride, w, h));
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK(BM_SadAvg4Rect)->Apply(partition_sizes);
+
+void
+BM_SatdAvgRect(benchmark::State &state)
+{
+    const Dsp &dsp = get_dsp(level_of(state));
+    const int w = static_cast<int>(state.range(1));
+    const int h = static_cast<int>(state.range(2));
+    TestData &d = data();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(dsp.satd_avg_rect(
+            d.a.data() + 8, kStride, d.b.data(), kStride,
+            d.b.data() + kStride, kStride, w, h));
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK(BM_SatdAvgRect)->Apply(partition_sizes);
+
 void
 BM_SatdRect16x16Aligned(benchmark::State &state)
 {
@@ -482,12 +557,16 @@ BM_PlaneCopy(benchmark::State &state)
 BENCHMARK(BM_PlaneCopy);
 
 // ---- Sub-sample refinement stage (the encoders' search after the
-// full-sample step): filter-per-candidate through the MC functions
-// ("tap") against filter-once candidates compared in place ("cached").
-// One iteration refines one macroblock of blue_sky 1088p from its
-// full-sample result, cycling through the picture, so the reported time
-// is ns per macroblock. The centre-plane build the cached path relies
-// on is paid once per reference and measured on its own below.
+// full-sample step), three ways: every candidate built through the MC
+// functions ("tap"); filter-once views, with averaged candidates built
+// into a buffer before they are scored ("cached"); and filter-once
+// views with averaged candidates scored in place by the fused kernels
+// ("fused", what the encoders run). One iteration refines one
+// macroblock of blue_sky 1088p from its full-sample result, cycling
+// through the picture, so the reported time is ns per macroblock. The
+// centre-plane build the cached paths rely on is paid once per
+// reference and measured on its own below. The halfpel rows are the
+// MPEG-2 search: mc_halfpel per candidate against halfpel_candidate.
 
 struct SubpelScene {
     Frame ref;
@@ -496,6 +575,7 @@ struct SubpelScene {
     std::vector<MeBlock> blocks;
     std::vector<MotionVector> hex_start;   ///< quarter-sample
     std::vector<MotionVector> epzs_start;  ///< quarter-sample
+    std::vector<MotionVector> half_start;  ///< half-sample (MPEG-2)
 };
 
 MeParams
@@ -517,6 +597,14 @@ mpeg4_me_params(const Dsp &dsp)
     return MeParams{cfg.me_range, cfg.qscale * 16, 2, &dsp, 0};
 }
 
+MeParams
+mpeg2_me_params(const Dsp &dsp)
+{
+    const CodecConfig cfg = benchmark_config(
+        CodecId::kMpeg2, Resolution::k1088p25, best_simd_level());
+    return MeParams{cfg.me_range, cfg.qscale * 16, 1, &dsp, 0};
+}
+
 SubpelScene &
 subpel_scene()
 {
@@ -534,6 +622,7 @@ subpel_scene()
         build_centre_plane(s->ref.luma(), &s->centre, dsp);
         const MotionEstimator hex(h264_me_params(dsp));
         const MotionEstimator epzs(mpeg4_me_params(dsp));
+        const MotionEstimator epzs_half(mpeg2_me_params(dsp));
         for (int y = 0; y + 16 <= res.height; y += 16) {
             for (int x = 0; x + 16 <= res.width; x += 16) {
                 MeBlock blk;
@@ -543,11 +632,14 @@ subpel_scene()
                 blk.y0 = y;
                 const MotionVector h = hex.hex(blk, {}, {}).mv;
                 const MotionVector e = epzs.epzs(blk, {}, {}).mv;
+                const MotionVector e2 = epzs_half.epzs(blk, {}, {}).mv;
                 s->blocks.push_back(blk);
                 s->hex_start.push_back({static_cast<s16>(h.x * 4),
                                         static_cast<s16>(h.y * 4)});
                 s->epzs_start.push_back({static_cast<s16>(e.x * 4),
                                          static_cast<s16>(e.y * 4)});
+                s->half_start.push_back({static_cast<s16>(e2.x * 2),
+                                         static_cast<s16>(e2.y * 2)});
             }
         }
         return s;
@@ -555,7 +647,7 @@ subpel_scene()
     return *scene;
 }
 
-enum class SubpelPath { kTap, kCached };
+enum class SubpelPath { kTap, kCached, kFused };
 
 void
 BM_SubpelRefine(benchmark::State &state, CodecId codec, SubpelPath path)
@@ -563,17 +655,33 @@ BM_SubpelRefine(benchmark::State &state, CodecId codec, SubpelPath path)
     SubpelScene &scene = subpel_scene();
     const Dsp &dsp = get_dsp(best_simd_level());
     const bool h264 = codec == CodecId::kH264;
-    const MeParams params = h264 ? h264_me_params(dsp)
-                                 : mpeg4_me_params(dsp);
+    const bool half = codec == CodecId::kMpeg2;
+    const MeParams params = h264   ? h264_me_params(dsp)
+                            : half ? mpeg2_me_params(dsp)
+                                   : mpeg4_me_params(dsp);
     const std::vector<MotionVector> &starts =
-        h264 ? scene.hex_start : scene.epzs_start;
+        h264 ? scene.hex_start : (half ? scene.half_start : scene.epzs_start);
     const Plane &ref = scene.ref.luma();
     size_t i = 0;
     for (auto _ : state) {
         const MeBlock &blk = scene.blocks[i];
         const MotionVector start = starts[i];
         MeResult r;
-        if (path == SubpelPath::kTap) {
+        if (half) {
+            r = path == SubpelPath::kTap
+                    ? subpel_refine(
+                          blk, start, start, params, {1}, false,
+                          [&](MotionVector mv, Pixel *dst, int ds) {
+                              mc_halfpel(ref, blk.x0, blk.y0, mv, dst, ds,
+                                         16, 16, dsp);
+                          })
+                    : subpel_refine_views(
+                          blk, start, start, params, {1}, false,
+                          [&](MotionVector mv) {
+                              return halfpel_candidate(ref, blk.x0,
+                                                       blk.y0, mv);
+                          });
+        } else if (path == SubpelPath::kTap) {
             r = subpel_refine(
                 blk, start, start, params, {2, 1}, h264,
                 [&](MotionVector mv, Pixel *dst, int ds) {
@@ -583,10 +691,17 @@ BM_SubpelRefine(benchmark::State &state, CodecId codec, SubpelPath path)
         } else {
             const QpelSearchWindow win(ref, scene.centre, blk.x0, blk.y0,
                                        16, 16, start, dsp);
+            Pixel built[16 * 16];
             r = subpel_refine_views(
                 blk, start, start, params, {2, 1}, h264,
-                [&](MotionVector mv, Pixel *scratch, int ss) {
-                    return win.predict(mv, scratch, ss);
+                [&](MotionVector mv) {
+                    SubpelCandidate c = win.candidate(mv);
+                    if (path == SubpelPath::kCached &&
+                        c.kind == SubpelCandidate::Kind::kAverage) {
+                        build_candidate(c, built, 16, 16, 16, dsp);
+                        c = {SubpelCandidate::Kind::kView, {built, 16}, {}};
+                    }
+                    return c;
                 });
         }
         benchmark::DoNotOptimize(r);
@@ -599,10 +714,18 @@ BENCHMARK_CAPTURE(BM_SubpelRefine, h264_satd/tap, CodecId::kH264,
                   SubpelPath::kTap);
 BENCHMARK_CAPTURE(BM_SubpelRefine, h264_satd/cached, CodecId::kH264,
                   SubpelPath::kCached);
+BENCHMARK_CAPTURE(BM_SubpelRefine, h264_satd/fused, CodecId::kH264,
+                  SubpelPath::kFused);
 BENCHMARK_CAPTURE(BM_SubpelRefine, mpeg4_sad/tap, CodecId::kMpeg4,
                   SubpelPath::kTap);
 BENCHMARK_CAPTURE(BM_SubpelRefine, mpeg4_sad/cached, CodecId::kMpeg4,
                   SubpelPath::kCached);
+BENCHMARK_CAPTURE(BM_SubpelRefine, mpeg4_sad/fused, CodecId::kMpeg4,
+                  SubpelPath::kFused);
+BENCHMARK_CAPTURE(BM_SubpelRefine, halfpel/tap, CodecId::kMpeg2,
+                  SubpelPath::kTap);
+BENCHMARK_CAPTURE(BM_SubpelRefine, halfpel/fused, CodecId::kMpeg2,
+                  SubpelPath::kFused);
 
 void
 BM_CentrePlaneBuild1088p(benchmark::State &state)

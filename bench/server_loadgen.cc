@@ -24,7 +24,6 @@
  */
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -177,14 +176,12 @@ settle_class(const ClassPlan &plan,
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string json_path = "hdvb_cache/serve_report.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
+    LoadgenArgs args;
+    args.json_path = "hdvb_cache/serve_report.json";
+    if (const int rc = parse_loadgen_args(argc, argv, &args); rc != 0)
+        return rc;
+    const bool smoke = args.smoke;
+    const std::string &json_path = args.json_path;
 
     SchedulerOptions options;
     options.workers = default_job_count();

@@ -255,13 +255,12 @@ H264Encoder::estimate(const Frame &src, const Reference &ref, int x0,
     }
     // SATD-driven half- then quarter-sample refinement (subme-style),
     // comparing candidates in place in the reference, its centre plane
-    // and a window of the other half-samples; the top approximation
-    // levels stop at half-sample.
+    // and a window of the other half-samples — quarter positions by
+    // the fused averaging SATD; the top approximation levels stop at
+    // half-sample.
     const QpelSearchWindow win(ref.frame.luma(), ref.centre, x0, y0, w, h,
                                start, dsp_);
-    const auto view = [&](MotionVector mv, Pixel *scratch, int ss) {
-        return win.predict(mv, scratch, ss);
-    };
+    const auto view = [&](MotionVector mv) { return win.candidate(mv); };
     return approx >= 2 ? subpel_refine_views(blk, start, pred_sub,
                                              me_.params(), {2},
                                              /*use_satd=*/true, view)
@@ -826,7 +825,7 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
 
     MeResult fwd;
     MeResult bwd;
-    Pixel fbuf[16 * 16], bbuf[16 * 16], bibuf[16 * 16];
+    Pixel fbuf[16 * 16], bbuf[16 * 16];
     if (want_fwd) {
         std::vector<MotionVector> fcands = cands;
         if (hint != nullptr)
@@ -849,10 +848,11 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
     int mode;
     int best_cost;
     if (want_fwd && want_bwd) {
-        dsp_.avg_rect(bibuf, 16, fbuf, 16, bbuf, 16, 16, 16);
-        const int bi_sad = dsp_.satd_rect(src_luma.row(ly) + lx,
-                                          src_luma.stride(), bibuf, 16,
-                                          16, 16);
+        // The bi prediction is scored in place and built only if it
+        // wins (below).
+        const int bi_sad = dsp_.satd_avg_rect(src_luma.row(ly) + lx,
+                                              src_luma.stride(), fbuf, 16,
+                                              bbuf, 16, 16, 16);
         const int bi_cost =
             bi_sad +
             mv_rate_cost(fwd.mv, rs.left_fwd, me_.params().lambda16) +
@@ -897,7 +897,7 @@ H264Encoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
         mc_h264_chroma(bwd_ref.cr(), mbx * 8, mby * 8, bmv, cr_pred, 8,
                        8, 8);
     } else {
-        std::memcpy(luma_pred, bibuf, sizeof(bibuf));
+        dsp_.avg_rect(luma_pred, 16, fbuf, 16, bbuf, 16, 16, 16);
         Pixel fc[8 * 8], bc[8 * 8];
         mc_h264_chroma(fwd_ref.cb(), mbx * 8, mby * 8, fmv, fc, 8, 8, 8);
         mc_h264_chroma(bwd_ref.cb(), mbx * 8, mby * 8, bmv, bc, 8, 8, 8);

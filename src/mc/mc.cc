@@ -11,20 +11,8 @@ void
 mc_halfpel(const Plane &ref, int x0, int y0, MotionVector mv,
            Pixel *dst, int ds, int w, int h, const Dsp &dsp)
 {
-    const int ix = x0 + (mv.x >> 1);
-    const int iy = y0 + (mv.y >> 1);
-    const int fx = mv.x & 1;
-    const int fy = mv.y & 1;
-    const int ss = ref.stride();
-    const Pixel *src = ref.row(iy) + ix;
-    if (fx == 0 && fy == 0)
-        dsp.copy_rect(dst, ds, src, ss, w, h);
-    else if (fx == 1 && fy == 0)
-        dsp.avg_rect(dst, ds, src, ss, src + 1, ss, w, h);
-    else if (fx == 0 && fy == 1)
-        dsp.avg_rect(dst, ds, src, ss, src + ss, ss, w, h);
-    else
-        dsp.avg4_rect(dst, ds, src, ss, w, h);
+    build_candidate(halfpel_candidate(ref, x0, y0, mv), dst, ds, w, h,
+                    dsp);
 }
 
 MotionVector
@@ -205,9 +193,11 @@ build_centre_plane(const Plane &ref, Plane *centre, const Dsp &dsp,
 QpelSearchWindow::QpelSearchWindow(const Plane &ref, const Plane &centre,
                                    int x0, int y0, int w, int h,
                                    MotionVector start, const Dsp &dsp)
-    : ref_(ref), centre_(centre), dsp_(dsp), x0_(x0), y0_(y0), w_(w),
-      h_(h), wx_(x0 + (start.x >> 2) - kPad),
-      wy_(y0 + (start.y >> 2) - kPad)
+    : x0_(x0), y0_(y0), wx_(x0 + (start.x >> 2) - kPad),
+      wy_(y0 + (start.y >> 2) - kPad),
+      origin_{ref.row(wy_) + wx_, half_h_, half_v_,
+              centre.row(wy_) + wx_},
+      stride_{ref.stride(), kStride, kStride, centre.stride()}
 {
     HDVB_DCHECK(w <= kMaxBlockSize && h <= kMaxBlockSize);
     HDVB_DCHECK((start.x & 3) == 0 && (start.y & 3) == 0);
@@ -222,40 +212,26 @@ QpelSearchWindow::QpelSearchWindow(const Plane &ref, const Plane &centre,
 PixelView
 QpelSearchWindow::tap_view(const LatticeTap &tap, int ix, int iy) const
 {
-    const int x = ix + tap.dx;
-    const int y = iy + tap.dy;
-    switch (tap.lattice) {
-      case LumaLattice::kFull:
-        return {ref_.row(y) + x, ref_.stride()};
-      case LumaLattice::kCentre:
-        return {centre_.row(y) + x, centre_.stride()};
-      case LumaLattice::kHalfH:
-      case LumaLattice::kHalfV: {
-        // Outside the window means the caller walked further than the
-        // drift the window was sized for.
-        HDVB_DCHECK(x >= wx_ && x - wx_ <= 2 * kPad &&
-                    y >= wy_ && y - wy_ <= 2 * kPad);
-        const Pixel *base =
-            tap.lattice == LumaLattice::kHalfH ? half_h_ : half_v_;
-        return {base + (y - wy_) * kStride + (x - wx_), kStride};
-      }
-    }
-    return {nullptr, 0};
+    const int dx = ix + tap.dx - wx_;
+    const int dy = iy + tap.dy - wy_;
+    // Outside means the caller walked further than the drift the
+    // window was sized for.
+    HDVB_DCHECK(dx >= 0 && dx <= 2 * kPad && dy >= 0 && dy <= 2 * kPad);
+    const int l = static_cast<int>(tap.lattice);
+    return {origin_[l] + dy * stride_[l] + dx, stride_[l]};
 }
 
-PixelView
-QpelSearchWindow::predict(MotionVector mv, Pixel *scratch, int ss) const
+SubpelCandidate
+QpelSearchWindow::candidate(MotionVector mv) const
 {
     const int ix = x0_ + (mv.x >> 2);
     const int iy = y0_ + (mv.y >> 2);
     const QpelRecipe &r = kH264QpelTable[(mv.y & 3) * 4 + (mv.x & 3)];
     const PixelView a = tap_view(r.tap[0], ix, iy);
     if (r.taps == 1)
-        return a;
-    const PixelView b = tap_view(r.tap[1], ix, iy);
-    dsp_.avg_rect(scratch, ss, a.data, a.stride, b.data, b.stride, w_,
-                  h_);
-    return {scratch, ss};
+        return {SubpelCandidate::Kind::kView, a, {}};
+    return {SubpelCandidate::Kind::kAverage, a,
+            tap_view(r.tap[1], ix, iy)};
 }
 
 void

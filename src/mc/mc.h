@@ -47,9 +47,78 @@ struct MotionVector {
 /** Largest supported prediction block (luma). */
 inline constexpr int kMaxBlockSize = 16;
 
+/** A read-only w x h block of samples somewhere in memory. */
+struct PixelView {
+    const Pixel *data;
+    int stride;
+};
+
+/**
+ * A sub-sample prediction as the samples it is made of, so that a
+ * search can score it with a fused kernel (Dsp::sad_avg_rect and
+ * friends) and never build it in memory.
+ */
+struct SubpelCandidate {
+    enum class Kind : u8 {
+        kView,     ///< the samples of view a themselves
+        kAverage,  ///< (a + b + 1) >> 1, avg_rect of two views
+        kQuad,     ///< avg4_rect of a: the MPEG-2 diagonal position
+    };
+    Kind kind;
+    PixelView a;
+    PixelView b;  ///< kAverage only
+};
+
+/** Write the w x h samples of @p cand to @p dst. Inline, like
+ * halfpel_candidate, so mc_halfpel and the searches compile to the
+ * direct kernel calls. */
+inline void
+build_candidate(const SubpelCandidate &cand, Pixel *dst, int ds, int w,
+                int h, const Dsp &dsp)
+{
+    const PixelView &a = cand.a;
+    switch (cand.kind) {
+      case SubpelCandidate::Kind::kView:
+        dsp.copy_rect(dst, ds, a.data, a.stride, w, h);
+        return;
+      case SubpelCandidate::Kind::kAverage:
+        dsp.avg_rect(dst, ds, a.data, a.stride, cand.b.data,
+                     cand.b.stride, w, h);
+        return;
+      case SubpelCandidate::Kind::kQuad:
+        dsp.avg4_rect(dst, ds, a.data, a.stride, w, h);
+        return;
+    }
+}
+
+/**
+ * The MPEG-2-class half-sample prediction of the block whose top-left
+ * corner is (x0, y0) in @p ref at @p mv (half-sample units): the one
+ * place that says which samples each half position uses.
+ */
+inline SubpelCandidate
+halfpel_candidate(const Plane &ref, int x0, int y0, MotionVector mv)
+{
+    using Kind = SubpelCandidate::Kind;
+    const int ss = ref.stride();
+    const Pixel *src = ref.row(y0 + (mv.y >> 1)) + x0 + (mv.x >> 1);
+    const PixelView at{src, ss};
+    switch ((mv.y & 1) * 2 + (mv.x & 1)) {
+      case 0:
+        return {Kind::kView, at, {}};
+      case 1:  // horizontal half: the sample and its right neighbour
+        return {Kind::kAverage, at, {src + 1, ss}};
+      case 2:  // vertical half: the sample and the one below
+        return {Kind::kAverage, at, {src + ss, ss}};
+      default:  // diagonal: all four neighbours
+        return {Kind::kQuad, at, {}};
+    }
+}
+
 /**
  * MPEG-2-class half-sample luma/chroma prediction of a w x h block whose
  * top-left corner is (x0, y0) in @p ref; @p mv is in half-sample units.
+ * Builds halfpel_candidate().
  */
 void mc_halfpel(const Plane &ref, int x0, int y0, MotionVector mv,
                 Pixel *dst, int ds, int w, int h, const Dsp &dsp);
@@ -88,12 +157,6 @@ void mc_h264_luma(const Plane &ref, int x0, int y0, MotionVector mv,
 /** One lattice sample block of the H.264 position table (mc.cc). */
 struct LatticeTap;
 
-/** A read-only w x h block of samples somewhere in memory. */
-struct PixelView {
-    const Pixel *data;
-    int stride;
-};
-
 /**
  * Fill @p centre with the centre (j) half-sample plane of @p ref: j at
  * (x, y) is the half-sample at (x + 1/2, y + 1/2), equal to
@@ -113,8 +176,9 @@ void build_centre_plane(const Plane &ref, Plane *centre, const Dsp &dsp,
  * plane (build_centre_plane); the horizontal and vertical ones are
  * filtered on construction into a (w+4) x (h+4) window around the
  * full-sample start; full samples are read straight from the
- * reference. A candidate is then a view into one of those, or one
- * avg_rect of two — bit-identical to mc_h264_luma.
+ * reference. A candidate is then a view into one of those, or the
+ * average of two; built (build_candidate), it is bit-identical to
+ * mc_h264_luma.
  *
  * Covers every vector within 2 whole samples left/up and 1 right/down
  * of the start's integer position — the drift of a two-round
@@ -131,9 +195,8 @@ class QpelSearchWindow
 
     /** The prediction at quarter-sample @p mv: a view into the
      * reference, the centre plane or the window, or — for a quarter
-     * position — the average of two such views written to
-     * @p scratch (stride @p ss), which is then the view returned. */
-    PixelView predict(MotionVector mv, Pixel *scratch, int ss) const;
+     * position — the average of two such views. Writes nothing. */
+    SubpelCandidate candidate(MotionVector mv) const;
 
   private:
     /** Margin of the window around the block: 2 before, 2 after. */
@@ -143,11 +206,13 @@ class QpelSearchWindow
 
     PixelView tap_view(const LatticeTap &tap, int ix, int iy) const;
 
-    const Plane &ref_;
-    const Plane &centre_;
-    const Dsp &dsp_;
-    int x0_, y0_, w_, h_;
+    int x0_, y0_;
     int wx_, wy_;  ///< picture position of window sample (0, 0)
+    /** Per lattice (LumaLattice order): its sample at picture position
+     * (wx_, wy_), and its row stride. Every tap a walk within the drift
+     * reads lies 0..2*kPad samples right of and below it. */
+    const Pixel *origin_[4];
+    int stride_[4];
     alignas(32) Pixel half_h_[kRows * kStride];
     alignas(32) Pixel half_v_[kRows * kStride];
 };

@@ -10,9 +10,9 @@
  *
  * Full-sample search works on luma SAD plus an Exp-Golomb rate model for
  * the motion-vector difference; sub-sample refinement is generic over a
- * codec-supplied interpolation callback so each codec refines with its
- * own filter (and the H.264-class encoder with SATD, its subme-style
- * metric).
+ * codec-supplied candidate callback so each codec refines with its own
+ * filter (and the H.264-class encoder with SATD, its subme-style
+ * metric), scoring averaged candidates without building them.
  */
 #ifndef HDVB_ME_ME_H
 #define HDVB_ME_ME_H
@@ -155,13 +155,43 @@ class MotionEstimator
 };
 
 /**
+ * Distortion of the w x h block at @p cur against @p cand, scored in
+ * place: an averaged candidate goes to the fused kernel that averages
+ * as it loads (Dsp::sad_avg_rect and friends), so it is never built.
+ * The diagonal quad is an MPEG-2 position, which is scored on SAD only.
+ */
+inline int
+candidate_distortion(const Dsp &dsp, const Pixel *cur, int cs,
+                     const SubpelCandidate &cand, int w, int h,
+                     bool use_satd)
+{
+    const PixelView &a = cand.a;
+    const PixelView &b = cand.b;
+    switch (cand.kind) {
+      case SubpelCandidate::Kind::kView:
+        return use_satd ? dsp.satd_rect(cur, cs, a.data, a.stride, w, h)
+                        : dsp.sad_rect(cur, cs, a.data, a.stride, w, h);
+      case SubpelCandidate::Kind::kAverage:
+        return use_satd ? dsp.satd_avg_rect(cur, cs, a.data, a.stride,
+                                            b.data, b.stride, w, h)
+                        : dsp.sad_avg_rect(cur, cs, a.data, a.stride,
+                                           b.data, b.stride, w, h);
+      case SubpelCandidate::Kind::kQuad:
+        HDVB_DCHECK(!use_satd);
+        return dsp.sad_avg4_rect(cur, cs, a.data, a.stride, w, h);
+    }
+    return INT32_MAX;
+}
+
+/**
  * Generic sub-sample refinement around @p start (sub-pel units),
- * comparing candidates in place.
+ * scoring each candidate in place.
  *
- * @tparam ViewFn PixelView(MotionVector mv_sub, Pixel *scratch, int ss):
- *         the prediction at mv_sub, either a view of samples that
- *         already exist (a reference plane, a cached half-sample plane
- *         or window) or written to @p scratch and viewed there.
+ * @tparam CandidateFn SubpelCandidate(MotionVector mv_sub): the
+ *         prediction at mv_sub as the samples it is made of — a
+ *         reference plane, a cached half-sample plane or window, or
+ *         averages of those (halfpel_candidate,
+ *         QpelSearchWindow::candidate).
  * @param steps list of step sizes in sub-pel units to refine with,
  *        e.g. {1} for a half-pel codec, {2, 1} for quarter-pel.
  * @param use_satd refine on SATD instead of SAD (H.264 subme style).
@@ -170,25 +200,20 @@ class MotionEstimator
  * no better than the best of its time, the best only falls, and a win
  * needs a strictly lower cost.
  */
-template <typename ViewFn>
+template <typename CandidateFn>
 MeResult
 subpel_refine_views(const MeBlock &blk, MotionVector start_sub,
                     MotionVector pred_sub, const MeParams &params,
                     std::initializer_list<int> steps, bool use_satd,
-                    ViewFn &&view)
+                    CandidateFn &&candidate)
 {
     const Dsp &dsp = *params.dsp;
-    Pixel scratch[kMaxBlockSize * kMaxBlockSize];
     const Pixel *cur = blk.cur->row(blk.y0) + blk.x0;
     const int cs = blk.cur->stride();
 
     auto distortion = [&](MotionVector mv) {
-        const PixelView v = view(mv, scratch, kMaxBlockSize);
-        return use_satd
-                   ? dsp.satd_rect(cur, cs, v.data, v.stride, blk.w,
-                                   blk.h)
-                   : dsp.sad_rect(cur, cs, v.data, v.stride, blk.w,
-                                  blk.h);
+        return candidate_distortion(dsp, cur, cs, candidate(mv), blk.w,
+                                    blk.h, use_satd);
     };
 
     // Two rounds of each step reach 2 * sum(steps) sub-samples from the
@@ -249,7 +274,9 @@ subpel_refine_views(const MeBlock &blk, MotionVector start_sub,
 
 /**
  * subpel_refine_views for a predictor that writes each candidate into
- * a buffer.
+ * a buffer, which is then scored as a plain view. The encoders score
+ * candidates in place instead; this adapter serves filters that have
+ * no candidate form (and replays of the older buffer-filling path).
  *
  * @tparam PredictFn void(MotionVector mv_sub, Pixel *dst, int ds)
  */
@@ -260,11 +287,13 @@ subpel_refine(const MeBlock &blk, MotionVector start_sub,
               std::initializer_list<int> steps, bool use_satd,
               PredictFn &&predict)
 {
+    Pixel buf[kMaxBlockSize * kMaxBlockSize];
     return subpel_refine_views(
         blk, start_sub, pred_sub, params, steps, use_satd,
-        [&](MotionVector mv, Pixel *dst, int ds) {
-            predict(mv, dst, ds);
-            return PixelView{dst, ds};
+        [&](MotionVector mv) {
+            predict(mv, buf, kMaxBlockSize);
+            return SubpelCandidate{SubpelCandidate::Kind::kView,
+                                   {buf, kMaxBlockSize}, {}};
         });
 }
 

@@ -320,20 +320,19 @@ MpegEncoder::estimate(const Frame &src, const Frame &ref,
         r.mv = start;
         return r;
     }
+    // Candidates are compared in place, averaged ones by the fused
+    // kernels: mc_halfpel's positions in the reference itself, or
+    // mc_qpel_tap's lattice (see QpelSearchWindow).
     if (syntax_.mv_shift == 1) {
-        return subpel_refine(
+        return subpel_refine_views(
             blk, start, pred_sub, me_.params(), {1}, /*use_satd=*/false,
-            [&](MotionVector mv, Pixel *dst, int ds) {
-                mc_halfpel(ref.luma(), x0, y0, mv, dst, ds, size, size,
-                           dsp_);
+            [&](MotionVector mv) {
+                return halfpel_candidate(ref.luma(), x0, y0, mv);
             });
     }
-    // mc_qpel_tap's lattice, compared in place (see QpelSearchWindow).
     const QpelSearchWindow win(ref.luma(), centre, x0, y0, size, size,
                                start, dsp_);
-    const auto view = [&](MotionVector mv, Pixel *scratch, int ss) {
-        return win.predict(mv, scratch, ss);
-    };
+    const auto view = [&](MotionVector mv) { return win.candidate(mv); };
     // Half-sample steps only without qpel, and at approx >= 2, which
     // halves the candidates per refined block.
     return config().qpel && approx < 2
@@ -472,16 +471,19 @@ MpegEncoder::analyze_mb(RowState &rs, const Frame &src, PictureType type,
     int best;
     int best_cost;
     if (want_fwd && want_bwd) {
-        MbMotion bi_motion;
-        bi_motion.use_bwd = true;
-        bi_motion.fwd[0] = fwd.mv;
-        bi_motion.bwd = bwd.mv;
-        PredBuffers bi;
-        predict_mb(syntax_, dsp_, prev_anchor_, last_anchor_, type,
-                   bi_motion, mbx, mby, &bi);
+        // Score the average of the two one-direction luma predictions
+        // in place; the bi prediction itself (chroma too) is built
+        // only if bi wins.
+        alignas(32) Pixel fwd_luma[16 * 16];
+        alignas(32) Pixel bwd_luma[16 * 16];
+        predict_luma16(syntax_, dsp_, prev_anchor_, fwd.mv, mbx, mby,
+                       fwd_luma);
+        predict_luma16(syntax_, dsp_, last_anchor_, bwd.mv, mbx, mby,
+                       bwd_luma);
         const Plane &luma = src.luma();
-        const int bi_sad = dsp_.sad16x16(luma.row(mby * 16) + mbx * 16,
-                                         luma.stride(), bi.luma, 16);
+        const int bi_sad = dsp_.sad_avg_rect(
+            luma.row(mby * 16) + mbx * 16, luma.stride(), fwd_luma, 16,
+            bwd_luma, 16, 16, 16);
         const int bi_cost = bi_sad +
                             mv_rate_cost(fwd.mv, rs.left_fwd, mp.lambda16) +
                             mv_rate_cost(bwd.mv, rs.left_bwd, mp.lambda16);

@@ -34,7 +34,7 @@ predict_one(const MpegSyntax &syntax, const Dsp &dsp, const Frame &ref,
                     16, 8, 8, dsp);
         }
     } else {
-        luma_mc(ref.luma(), lx, ly, mv[0], pred->luma, 16, 16, 16, dsp);
+        predict_luma16(syntax, dsp, ref, mv[0], mbx, mby, pred->luma);
     }
     const MotionVector cmv =
         four ? chroma_mv_from_4mv(mv)
@@ -53,6 +53,14 @@ Quantizers::Quantizers(const MpegSyntax &syntax, int qscale,
       inter(kMpegInterMatrix, qscale, syntax.inter_dead_zone,
             syntax.quant_step_shift, dsp)
 {
+}
+
+void
+predict_luma16(const MpegSyntax &syntax, const Dsp &dsp, const Frame &ref,
+               MotionVector mv, int mbx, int mby, Pixel luma[16 * 16])
+{
+    const auto luma_mc = syntax.mv_shift == 1 ? mc_halfpel : mc_qpel_tap;
+    luma_mc(ref.luma(), mbx * 16, mby * 16, mv, luma, 16, 16, 16, dsp);
 }
 
 void

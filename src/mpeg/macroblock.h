@@ -114,6 +114,12 @@ struct MbMotion {
     MotionVector bwd;
 };
 
+/** The 16x16 luma prediction of macroblock (mbx, mby) from @p ref at
+ * one vector: the luma of predict_mb's one-direction prediction. */
+void predict_luma16(const MpegSyntax &syntax, const Dsp &dsp,
+                    const Frame &ref, MotionVector mv, int mbx, int mby,
+                    Pixel luma[16 * 16]);
+
 /**
  * Build the prediction of macroblock (mbx, mby). P pictures predict
  * from @p last_anchor; B pictures forward from @p prev_anchor,

@@ -25,6 +25,9 @@ const Dsp kScalarDsp = {
     scalar_satd4x4,
     scalar_satd_rect,
     scalar_sse_rect,
+    scalar_sad_avg_rect,
+    scalar_sad_avg4_rect,
+    scalar_satd_avg_rect,
     scalar_copy_rect,
     scalar_avg_rect,
     scalar_avg4_rect,
@@ -54,6 +57,9 @@ const Dsp kSse2Dsp = {
     sse2_satd4x4,
     sse2_satd_rect,
     sse2_sse_rect,
+    sse2_sad_avg_rect,
+    sse2_sad_avg4_rect,
+    sse2_satd_avg_rect,
     scalar_copy_rect,  // block copies are memcpy either way
     sse2_avg_rect,
     sse2_avg4_rect,
@@ -88,6 +94,9 @@ const Dsp kAvx2Dsp = {
     sse2_satd4x4,  // a single 4x4 is too narrow for ymm to help
     avx2_satd_rect,
     avx2_sse_rect,
+    sse2_sad_avg_rect,  // xmm-wide, like the SAD entries above
+    sse2_sad_avg4_rect,
+    avx2_satd_avg_rect,
     scalar_copy_rect,  // block copies are memcpy either way
     avx2_avg_rect,
     avx2_avg4_rect,

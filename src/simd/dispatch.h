@@ -134,6 +134,20 @@ struct Dsp {
     u64 (*sse_rect)(const Pixel *a, int as, const Pixel *b, int bs,
                     int w, int h);
 
+    // ---- Costs against averaged candidates (sub-sample search) ----
+    // Each equals building the average with avg_rect / avg4_rect and
+    // scoring the result, without writing it anywhere; w, h <= 16.
+    /** SAD of a against (b + c + 1) >> 1. */
+    int (*sad_avg_rect)(const Pixel *a, int as, const Pixel *b, int bs,
+                        const Pixel *c, int cs, int w, int h);
+    /** SAD of a against (s00 + s01 + s10 + s11 + 2) >> 2, the MPEG-2
+     * diagonal half-sample position of s (avg4_rect). */
+    int (*sad_avg4_rect)(const Pixel *a, int as, const Pixel *s, int ss,
+                         int w, int h);
+    /** SATD of a against (b + c + 1) >> 1; w and h multiples of 4. */
+    int (*satd_avg_rect)(const Pixel *a, int as, const Pixel *b, int bs,
+                         const Pixel *c, int cs, int w, int h);
+
     // ---- Pixel moves (motion compensation) ----
     void (*copy_rect)(Pixel *dst, int ds, const Pixel *src, int ss,
                       int w, int h);

@@ -25,6 +25,12 @@ int scalar_satd_rect(const Pixel *a, int as, const Pixel *b, int bs,
                      int w, int h);
 u64 scalar_sse_rect(const Pixel *a, int as, const Pixel *b, int bs,
                     int w, int h);
+int scalar_sad_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                        const Pixel *c, int cs, int w, int h);
+int scalar_sad_avg4_rect(const Pixel *a, int as, const Pixel *s, int ss,
+                         int w, int h);
+int scalar_satd_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                         const Pixel *c, int cs, int w, int h);
 void scalar_copy_rect(Pixel *dst, int ds, const Pixel *src, int ss,
                       int w, int h);
 void scalar_avg_rect(Pixel *dst, int ds, const Pixel *a, int as,
@@ -68,6 +74,12 @@ int sse2_satd_rect(const Pixel *a, int as, const Pixel *b, int bs,
                    int w, int h);
 u64 sse2_sse_rect(const Pixel *a, int as, const Pixel *b, int bs,
                   int w, int h);
+int sse2_sad_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                      const Pixel *c, int cs, int w, int h);
+int sse2_sad_avg4_rect(const Pixel *a, int as, const Pixel *s, int ss,
+                       int w, int h);
+int sse2_satd_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                       const Pixel *c, int cs, int w, int h);
 void sse2_avg_rect(Pixel *dst, int ds, const Pixel *a, int as,
                    const Pixel *b, int bs, int w, int h);
 void sse2_avg4_rect(Pixel *dst, int ds, const Pixel *src, int ss,
@@ -94,12 +106,15 @@ void sse2_h264_hpel_hv(Pixel *dst, int ds, const Pixel *src, int ss,
 // after runtime detection says the CPU executes AVX2.
 // No avx2_sad*: 16-pixel strided rows cannot fill a ymm without
 // cross-lane inserts that cost more than they save, so the avx2 table
-// keeps the SSE2 SAD kernels (see kernels_avx2.cc).
+// keeps the SSE2 SAD kernels, the averaged ones included (see
+// kernels_avx2.cc).
 #if defined(HDVB_BUILD_AVX2)
 int avx2_satd_rect(const Pixel *a, int as, const Pixel *b, int bs,
                    int w, int h);
 u64 avx2_sse_rect(const Pixel *a, int as, const Pixel *b, int bs,
                   int w, int h);
+int avx2_satd_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                       const Pixel *c, int cs, int w, int h);
 void avx2_avg_rect(Pixel *dst, int ds, const Pixel *a, int as,
                    const Pixel *b, int bs, int w, int h);
 void avx2_avg4_rect(Pixel *dst, int ds, const Pixel *src, int ss,

@@ -19,7 +19,9 @@
  * vinserti128 per row pair that costs more than the halved psadbw
  * count saves (measured ~40% slower than SSE2 here; x264 and FFmpeg
  * reach the same conclusion). The avx2 Dsp table keeps the SSE2 SAD
- * entries.
+ * entries, the averaged-candidate ones (sad_avg_rect, sad_avg4_rect)
+ * included. The averaged SATD is here: the same one-reduction SATD
+ * with a second operand that averages two rows as it loads them.
  */
 #include "simd/kernels.h"
 
@@ -89,38 +91,81 @@ hmul_weights()
                             1, -1, 1, -1);
 }
 
-/** 16 pixels (four 4-pixel block rows) in both lanes. */
-inline __m256i
-row16(const Pixel *p)
-{
-    return _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
-}
+/**
+ * An operand of a SATD as the rows its stripes load: stored samples
+ * here, and for the second operand possibly AveragedSamples. Each row
+ * fills a ymm the way hmul_weights wants it, with the same 16 pixels
+ * in both lanes.
+ */
+struct Samples {
+    const Pixel *p;
+    int s;
 
-/** 8 pixels at @p p then 8 at @p q, as one 16-pixel row in both
- * lanes: two 8-wide row groups side by side. */
-inline __m256i
-row8x2(const Pixel *p, const Pixel *q)
-{
-    return _mm256_blend_epi32(
-        _mm256_broadcastq_epi64(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p))),
-        _mm256_broadcastq_epi64(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(q))),
-        0xCC);
-}
+    /** Row @p y's 16 pixels (four 4-pixel block rows). */
+    __m256i
+    row16(int y) const
+    {
+        return _mm256_broadcastsi128_si256(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p + y * s)));
+    }
+    /** 8 pixels of row @p y then 8 of row y + 4, as one 16-pixel row:
+     * two 8-wide row groups side by side. */
+    __m256i
+    row8x2(int y) const
+    {
+        return _mm256_blend_epi32(half8(y), half8(y + 4), 0xCC);
+    }
+    /** row8x2 with zeros for the second group (a lone 8x4 row group). */
+    __m256i
+    row8(int y) const
+    {
+        return _mm256_blend_epi32(half8(y), _mm256_setzero_si256(), 0xCC);
+    }
+    Samples
+    at(int x, int y) const
+    {
+        return {p + y * s + x, s};
+    }
 
-/** row8x2 with zeros for the second group (a lone 8x4 row group). */
-inline __m256i
-row8(const Pixel *p)
-{
-    return _mm256_blend_epi32(
-        _mm256_broadcastq_epi64(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p))),
-        _mm256_setzero_si256(), 0xCC);
-}
+  private:
+    /** Row @p y's first 8 pixels in every quadword. */
+    __m256i
+    half8(int y) const
+    {
+        return _mm256_broadcastq_epi64(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p + y * s)));
+    }
+};
 
-/** First horizontal butterfly of row a minus row b (row16/row8x2
+/** (p + q + 1) >> 1 of two sample blocks, averaged as each row is
+ * loaded, so a SATD against it never stores the candidate. */
+struct AveragedSamples {
+    Samples p;
+    Samples q;
+
+    __m256i
+    row16(int y) const
+    {
+        return _mm256_avg_epu8(p.row16(y), q.row16(y));
+    }
+    __m256i
+    row8x2(int y) const
+    {
+        return _mm256_avg_epu8(p.row8x2(y), q.row8x2(y));
+    }
+    __m256i
+    row8(int y) const
+    {
+        return _mm256_avg_epu8(p.row8(y), q.row8(y));
+    }
+    AveragedSamples
+    at(int x, int y) const
+    {
+        return {p.at(x, y), q.at(x, y)};
+    }
+};
+
+/** First horizontal butterfly of row a minus row b (Samples row
  * layout); pmaddubsw is linear, so this is the butterfly of a - b. */
 inline __m256i
 hdiff(__m256i a, __m256i b)
@@ -166,35 +211,81 @@ satd_stripe(__m256i d0, __m256i d1, __m256i d2, __m256i d3)
 }
 
 /** satd_stripe of four rows of a 16-wide column. */
+template <typename B>
 inline __m256i
-satd_stripe16(const Pixel *a, int as, const Pixel *b, int bs)
+satd_stripe16(Samples a, const B &b)
 {
-    return satd_stripe(hdiff(row16(a), row16(b)),
-                       hdiff(row16(a + as), row16(b + bs)),
-                       hdiff(row16(a + 2 * as), row16(b + 2 * bs)),
-                       hdiff(row16(a + 3 * as), row16(b + 3 * bs)));
+    const auto row = [&](int k) {
+        return hdiff(a.row16(k), b.row16(k));
+    };
+    return satd_stripe(row(0), row(1), row(2), row(3));
 }
 
 /** satd_stripe of rows 0..3 (first group) and 4..7 (second group) of
  * an 8-wide column. */
+template <typename B>
 inline __m256i
-satd_stripe8x2(const Pixel *a, int as, const Pixel *b, int bs)
+satd_stripe8x2(Samples a, const B &b)
 {
     const auto row = [&](int k) {
-        return hdiff(row8x2(a + k * as, a + (k + 4) * as),
-                     row8x2(b + k * bs, b + (k + 4) * bs));
+        return hdiff(a.row8x2(k), b.row8x2(k));
     };
     return satd_stripe(row(0), row(1), row(2), row(3));
 }
 
 /** satd_stripe of a lone 8x4 row group. */
+template <typename B>
 inline __m256i
-satd_stripe8(const Pixel *a, int as, const Pixel *b, int bs)
+satd_stripe8(Samples a, const B &b)
 {
     const auto row = [&](int k) {
-        return hdiff(row8(a + k * as), row8(b + k * bs));
+        return hdiff(a.row8(k), b.row8(k));
     };
     return satd_stripe(row(0), row(1), row(2), row(3));
+}
+
+/** A lone 4-wide column, 4x4 block by block on the SSE2 kernels. */
+inline int
+satd_column4(Samples a, Samples b, int h)
+{
+    return sse2_satd_rect(a.p, a.s, b.p, b.s, 4, h);
+}
+
+inline int
+satd_column4(Samples a, const AveragedSamples &b, int h)
+{
+    return sse2_satd_avg_rect(a.p, a.s, b.p.p, b.p.s, b.q.p, b.q.s, 4, h);
+}
+
+/** SATD of a w x h rectangle of @p a against @p b. */
+template <typename B>
+int
+satd_rect(Samples a, const B &b, int w, int h)
+{
+    // w, h <= 16 puts at most four stripes in any lane (satd_stripe).
+    __m256i acc = _mm256_setzero_si256();
+    int x = 0;
+    for (; x + 16 <= w; x += 16) {
+        for (int y = 0; y < h; y += 4)
+            acc = _mm256_add_epi16(
+                acc, satd_stripe16(a.at(x, y), b.at(x, y)));
+    }
+    for (; x + 8 <= w; x += 8) {
+        int y = 0;
+        for (; y + 8 <= h; y += 8)
+            acc = _mm256_add_epi16(
+                acc, satd_stripe8x2(a.at(x, y), b.at(x, y)));
+        if (y < h)
+            acc = _mm256_add_epi16(acc,
+                                   satd_stripe8(a.at(x, y), b.at(x, y)));
+    }
+    // Low words only: the high words hold junk (satd_stripe).
+    const __m256i sum32 = _mm256_madd_epi16(acc, _mm256_set1_epi32(1));
+    int sum = hsum_epi32_128(_mm_add_epi32(
+        _mm256_castsi256_si128(sum32), _mm256_extracti128_si256(sum32, 1)));
+    if (x < w)
+        sum += satd_column4(a.at(x, 0), b.at(x, 0), h);
+    return sum;
 }
 
 // ---- matrix DCT machinery (ymm madd pass, xmm transpose) ----
@@ -354,31 +445,15 @@ int
 avx2_satd_rect(const Pixel *a, int as, const Pixel *b, int bs,
                int w, int h)
 {
-    // w, h <= 16 puts at most four stripes in any lane (satd_stripe).
-    __m256i acc = _mm256_setzero_si256();
-    int x = 0;
-    for (; x + 16 <= w; x += 16) {
-        for (int y = 0; y < h; y += 4)
-            acc = _mm256_add_epi16(
-                acc, satd_stripe16(a + y * as + x, as, b + y * bs + x, bs));
-    }
-    for (; x + 8 <= w; x += 8) {
-        int y = 0;
-        for (; y + 8 <= h; y += 8)
-            acc = _mm256_add_epi16(acc, satd_stripe8x2(a + y * as + x, as,
-                                                       b + y * bs + x, bs));
-        if (y < h)
-            acc = _mm256_add_epi16(
-                acc, satd_stripe8(a + y * as + x, as, b + y * bs + x, bs));
-    }
-    // Low words only: the high words hold junk (satd_stripe).
-    const __m256i sum32 = _mm256_madd_epi16(acc, _mm256_set1_epi32(1));
-    int sum = hsum_epi32_128(_mm_add_epi32(
-        _mm256_castsi256_si128(sum32), _mm256_extracti128_si256(sum32, 1)));
-    for (; x < w; x += 4)  // a lone 4-wide column
-        for (int y = 0; y < h; y += 4)
-            sum += sse2_satd4x4(a + y * as + x, as, b + y * bs + x, bs);
-    return sum;
+    return satd_rect(Samples{a, as}, Samples{b, bs}, w, h);
+}
+
+int
+avx2_satd_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                   const Pixel *c, int cs, int w, int h)
+{
+    return satd_rect(Samples{a, as},
+                     AveragedSamples{Samples{b, bs}, Samples{c, cs}}, w, h);
 }
 
 u64

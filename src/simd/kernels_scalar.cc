@@ -178,6 +178,37 @@ scalar_sse_rect(const Pixel *a, int as, const Pixel *b, int bs,
     return sum;
 }
 
+// The averaged-candidate costs are defined as "build, then compare",
+// so they are exact by construction; the vector kernels match them
+// without building.
+
+int
+scalar_sad_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                    const Pixel *c, int cs, int w, int h)
+{
+    Pixel avg[16 * 16];
+    scalar_avg_rect(avg, 16, b, bs, c, cs, w, h);
+    return scalar_sad_rect(a, as, avg, 16, w, h);
+}
+
+int
+scalar_sad_avg4_rect(const Pixel *a, int as, const Pixel *s, int ss,
+                     int w, int h)
+{
+    Pixel avg[16 * 16];
+    scalar_avg4_rect(avg, 16, s, ss, w, h);
+    return scalar_sad_rect(a, as, avg, 16, w, h);
+}
+
+int
+scalar_satd_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                     const Pixel *c, int cs, int w, int h)
+{
+    Pixel avg[16 * 16];
+    scalar_avg_rect(avg, 16, b, bs, c, cs, w, h);
+    return scalar_satd_rect(a, as, avg, 16, w, h);
+}
+
 void
 scalar_copy_rect(Pixel *dst, int ds, const Pixel *src, int ss,
                  int w, int h)

@@ -35,25 +35,40 @@ hsum_epi32(__m128i v)
     return _mm_cvtsi128_si32(v);
 }
 
+/** Two 4-pixel rows (row0 | row1) as the low 8 bytes. */
+inline __m128i
+load4x2(const Pixel *p, int ps)
+{
+    u32 r0, r1;
+    std::memcpy(&r0, p, 4);
+    std::memcpy(&r1, p + ps, 4);
+    return _mm_unpacklo_epi32(_mm_cvtsi32_si128(static_cast<int>(r0)),
+                              _mm_cvtsi32_si128(static_cast<int>(r1)));
+}
+
+/** The low 8 bytes of a minus those of b, as 8 s16 lanes. */
+inline __m128i
+diff8_u8(__m128i a, __m128i b)
+{
+    const __m128i zero = _mm_setzero_si128();
+    return _mm_sub_epi16(_mm_unpacklo_epi8(a, zero),
+                         _mm_unpacklo_epi8(b, zero));
+}
+
 /** Load two 4-pixel rows of a - b as 8 s16 lanes (row0 | row1). */
 inline __m128i
 diff4x2(const Pixel *a, int as, const Pixel *b, int bs)
 {
-    u32 a0, a1, b0, b1;
-    std::memcpy(&a0, a, 4);
-    std::memcpy(&a1, a + as, 4);
-    std::memcpy(&b0, b, 4);
-    std::memcpy(&b1, b + bs, 4);
-    const __m128i zero = _mm_setzero_si128();
-    const __m128i va = _mm_unpacklo_epi8(
-        _mm_unpacklo_epi32(_mm_cvtsi32_si128(static_cast<int>(a0)),
-                           _mm_cvtsi32_si128(static_cast<int>(a1))),
-        zero);
-    const __m128i vb = _mm_unpacklo_epi8(
-        _mm_unpacklo_epi32(_mm_cvtsi32_si128(static_cast<int>(b0)),
-                           _mm_cvtsi32_si128(static_cast<int>(b1))),
-        zero);
-    return _mm_sub_epi16(va, vb);
+    return diff8_u8(load4x2(a, as), load4x2(b, bs));
+}
+
+/** diff4x2 against (b + c + 1) >> 1, averaged as it is loaded. */
+inline __m128i
+diff4x2_avg(const Pixel *a, int as, const Pixel *b, int bs,
+            const Pixel *c, int cs)
+{
+    return diff8_u8(load4x2(a, as),
+                    _mm_avg_epu8(load4x2(b, bs), load4x2(c, cs)));
 }
 
 inline __m128i
@@ -172,6 +187,130 @@ dct8x8_sse2(Coeff blk[64], const __m128i consts[8][4])
     transpose8x8_sse2(r);
     for (int i = 0; i < 8; ++i)
         _mm_storeu_si128(reinterpret_cast<__m128i *>(blk + i * 8), r[i]);
+}
+
+/** SATD of a 4x4 difference given as (row0 | row1) and (row2 | row3). */
+inline int
+satd4x4_diff(__m128i d01, __m128i d23)
+{
+    // u holds (row0 | row2), v holds (row1 | row3): the column
+    // butterfly then works on 64-bit halves.
+    const __m128i u = _mm_unpacklo_epi64(d01, d23);      // row0 | row2
+    const __m128i v = _mm_unpackhi_epi64(d01, d23);      // row1 | row3
+
+    // Column (vertical) Hadamard.
+    __m128i s = _mm_add_epi16(u, v);   // s0 | s1
+    __m128i t = _mm_sub_epi16(u, v);   // d0 | d1
+    __m128i ra = _mm_add_epi16(s, swap_halves(s));  // a' in both halves
+    __m128i rc = _mm_sub_epi16(s, swap_halves(s));  // c' in low half
+    __m128i rb = _mm_add_epi16(t, swap_halves(t));
+    __m128i rd = _mm_sub_epi16(t, swap_halves(t));
+    __m128i r01 = _mm_unpacklo_epi64(ra, rb);  // a' | b'
+    __m128i r23 = _mm_unpacklo_epi64(rc, rd);  // c' | d'
+
+    // Transpose the 4x4 (two rows per register).
+    const __m128i i0 =
+        _mm_unpacklo_epi16(r01, _mm_srli_si128(r01, 8));  // a,b interleave
+    const __m128i i1 =
+        _mm_unpacklo_epi16(r23, _mm_srli_si128(r23, 8));  // c,d interleave
+    const __m128i c01 = _mm_unpacklo_epi32(i0, i1);  // col0 | col1
+    const __m128i c23 = _mm_unpackhi_epi32(i0, i1);  // col2 | col3
+    const __m128i u2 = _mm_unpacklo_epi64(c01, c23);  // col0 | col2
+    const __m128i v2 = _mm_unpackhi_epi64(c01, c23);  // col1 | col3
+
+    // Row Hadamard (same flow on transposed data).
+    s = _mm_add_epi16(u2, v2);
+    t = _mm_sub_epi16(u2, v2);
+    ra = _mm_add_epi16(s, swap_halves(s));
+    rc = _mm_sub_epi16(s, swap_halves(s));
+    rb = _mm_add_epi16(t, swap_halves(t));
+    rd = _mm_sub_epi16(t, swap_halves(t));
+    r01 = _mm_unpacklo_epi64(ra, rb);
+    r23 = _mm_unpacklo_epi64(rc, rd);
+
+    const __m128i ones = _mm_set1_epi16(1);
+    const __m128i sum = _mm_add_epi32(
+        _mm_madd_epi16(abs_epi16_sse2(r01), ones),
+        _mm_madd_epi16(abs_epi16_sse2(r23), ones));
+    return hsum_epi32(sum) >> 1;
+}
+
+/** A row's first 16 samples, or (!kWide) its first 8 with the high
+ * half zero, which psadbw then scores as 0 against 0. */
+template <bool kWide>
+inline __m128i
+load_row(const Pixel *p)
+{
+    if constexpr (kWide)
+        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+    else
+        return _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
+}
+
+/** Total of psadbw's two 64-bit halves. */
+inline int
+sad_total(__m128i acc)
+{
+    return _mm_cvtsi128_si32(acc) +
+           _mm_cvtsi128_si32(_mm_srli_si128(acc, 8));
+}
+
+/** SAD of h rows of a against pavgb(b, c): the averaged candidate is
+ * formed in a register and never stored. */
+template <bool kWide>
+int
+sad_avg_rows(const Pixel *a, int as, const Pixel *b, int bs,
+             const Pixel *c, int cs, int h)
+{
+    __m128i acc = _mm_setzero_si128();
+    for (int y = 0; y < h; ++y) {
+        const __m128i avg =
+            _mm_avg_epu8(load_row<kWide>(b), load_row<kWide>(c));
+        acc = _mm_add_epi64(acc, _mm_sad_epu8(load_row<kWide>(a), avg));
+        a += as;
+        b += bs;
+        c += cs;
+    }
+    return sad_total(acc);
+}
+
+/**
+ * SAD of h rows of a against avg4_rect's diagonal of s, in bytes. With
+ * p and q the pavgb of the horizontal pairs of two rows, pavgb(p, q)
+ * exceeds (s00 + s01 + s10 + s11 + 2) >> 2 by exactly
+ * (p ^ q) & (odd_p | odd_q) & 1, where a row's odd is its pair's xor
+ * (bit 0 set when the pair sum rounded up): the two roundings up
+ * cross a multiple of four only when p + q is odd. That identity holds
+ * for every one of the 2^32 sample quadruples. Each row's pair average
+ * is the bottom of one output row and the top of the next.
+ */
+template <bool kWide>
+int
+sad_avg4_rows(const Pixel *a, int as, const Pixel *s, int ss, int h)
+{
+    const __m128i one = _mm_set1_epi8(1);
+    __m128i l = load_row<kWide>(s);
+    __m128i r = load_row<kWide>(s + 1);
+    __m128i top = _mm_avg_epu8(l, r);
+    __m128i top_odd = _mm_xor_si128(l, r);
+    __m128i acc = _mm_setzero_si128();
+    for (int y = 0; y < h; ++y) {
+        s += ss;
+        l = load_row<kWide>(s);
+        r = load_row<kWide>(s + 1);
+        const __m128i bot = _mm_avg_epu8(l, r);
+        const __m128i bot_odd = _mm_xor_si128(l, r);
+        const __m128i over = _mm_and_si128(
+            _mm_and_si128(_mm_xor_si128(top, bot),
+                          _mm_or_si128(top_odd, bot_odd)),
+            one);
+        const __m128i diag = _mm_sub_epi8(_mm_avg_epu8(top, bot), over);
+        acc = _mm_add_epi64(acc, _mm_sad_epu8(load_row<kWide>(a), diag));
+        top = bot;
+        top_odd = bot_odd;
+        a += as;
+    }
+    return sad_total(acc);
 }
 
 }  // namespace
@@ -318,48 +457,8 @@ sse2_sad_rect_et(const Pixel *a, int as, const Pixel *b, int bs,
 int
 sse2_satd4x4(const Pixel *a, int as, const Pixel *b, int bs)
 {
-    // u holds (row0 | row2), v holds (row1 | row3): the column
-    // butterfly then works on 64-bit halves.
-    const __m128i d01 = diff4x2(a, as, b, bs);           // row0 | row1
-    const __m128i d23 = diff4x2(a + 2 * as, as, b + 2 * bs, bs);
-    const __m128i u = _mm_unpacklo_epi64(d01, d23);      // row0 | row2
-    const __m128i v = _mm_unpackhi_epi64(d01, d23);      // row1 | row3
-
-    // Column (vertical) Hadamard.
-    __m128i s = _mm_add_epi16(u, v);   // s0 | s1
-    __m128i t = _mm_sub_epi16(u, v);   // d0 | d1
-    __m128i ra = _mm_add_epi16(s, swap_halves(s));  // a' in both halves
-    __m128i rc = _mm_sub_epi16(s, swap_halves(s));  // c' in low half
-    __m128i rb = _mm_add_epi16(t, swap_halves(t));
-    __m128i rd = _mm_sub_epi16(t, swap_halves(t));
-    __m128i r01 = _mm_unpacklo_epi64(ra, rb);  // a' | b'
-    __m128i r23 = _mm_unpacklo_epi64(rc, rd);  // c' | d'
-
-    // Transpose the 4x4 (two rows per register).
-    const __m128i i0 =
-        _mm_unpacklo_epi16(r01, _mm_srli_si128(r01, 8));  // a,b interleave
-    const __m128i i1 =
-        _mm_unpacklo_epi16(r23, _mm_srli_si128(r23, 8));  // c,d interleave
-    const __m128i c01 = _mm_unpacklo_epi32(i0, i1);  // col0 | col1
-    const __m128i c23 = _mm_unpackhi_epi32(i0, i1);  // col2 | col3
-    const __m128i u2 = _mm_unpacklo_epi64(c01, c23);  // col0 | col2
-    const __m128i v2 = _mm_unpackhi_epi64(c01, c23);  // col1 | col3
-
-    // Row Hadamard (same flow on transposed data).
-    s = _mm_add_epi16(u2, v2);
-    t = _mm_sub_epi16(u2, v2);
-    ra = _mm_add_epi16(s, swap_halves(s));
-    rc = _mm_sub_epi16(s, swap_halves(s));
-    rb = _mm_add_epi16(t, swap_halves(t));
-    rd = _mm_sub_epi16(t, swap_halves(t));
-    r01 = _mm_unpacklo_epi64(ra, rb);
-    r23 = _mm_unpacklo_epi64(rc, rd);
-
-    const __m128i ones = _mm_set1_epi16(1);
-    const __m128i sum = _mm_add_epi32(
-        _mm_madd_epi16(abs_epi16_sse2(r01), ones),
-        _mm_madd_epi16(abs_epi16_sse2(r23), ones));
-    return hsum_epi32(sum) >> 1;
+    return satd4x4_diff(diff4x2(a, as, b, bs),
+                        diff4x2(a + 2 * as, as, b + 2 * bs, bs));
 }
 
 int
@@ -370,6 +469,47 @@ sse2_satd_rect(const Pixel *a, int as, const Pixel *b, int bs,
     for (int y = 0; y < h; y += 4)
         for (int x = 0; x < w; x += 4)
             sum += sse2_satd4x4(a + y * as + x, as, b + y * bs + x, bs);
+    return sum;
+}
+
+int
+sse2_sad_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                  const Pixel *c, int cs, int w, int h)
+{
+    if (w == 16)
+        return sad_avg_rows<true>(a, as, b, bs, c, cs, h);
+    if (w == 8)
+        return sad_avg_rows<false>(a, as, b, bs, c, cs, h);
+    return scalar_sad_avg_rect(a, as, b, bs, c, cs, w, h);
+}
+
+int
+sse2_sad_avg4_rect(const Pixel *a, int as, const Pixel *s, int ss,
+                   int w, int h)
+{
+    if (w == 16)
+        return sad_avg4_rows<true>(a, as, s, ss, h);
+    if (w == 8)
+        return sad_avg4_rows<false>(a, as, s, ss, h);
+    return scalar_sad_avg4_rect(a, as, s, ss, w, h);
+}
+
+int
+sse2_satd_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                   const Pixel *c, int cs, int w, int h)
+{
+    int sum = 0;
+    for (int y = 0; y < h; y += 4) {
+        for (int x = 0; x < w; x += 4) {
+            const Pixel *pa = a + y * as + x;
+            const Pixel *pb = b + y * bs + x;
+            const Pixel *pc = c + y * cs + x;
+            sum += satd4x4_diff(
+                diff4x2_avg(pa, as, pb, bs, pc, cs),
+                diff4x2_avg(pa + 2 * as, as, pb + 2 * bs, bs, pc + 2 * cs,
+                            cs));
+        }
+    }
     return sum;
 }
 

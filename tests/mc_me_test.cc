@@ -283,6 +283,72 @@ counted_satd_rect(const Pixel *a, int as, const Pixel *b, int bs, int w,
     return g_counted_dsp->satd_rect(a, as, b, bs, w, h);
 }
 
+int
+counted_sad_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                     const Pixel *c, int cs, int w, int h)
+{
+    ++g_distortion_calls;
+    return g_counted_dsp->sad_avg_rect(a, as, b, bs, c, cs, w, h);
+}
+
+int
+counted_sad_avg4_rect(const Pixel *a, int as, const Pixel *s, int ss,
+                      int w, int h)
+{
+    ++g_distortion_calls;
+    return g_counted_dsp->sad_avg4_rect(a, as, s, ss, w, h);
+}
+
+int
+counted_satd_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
+                      const Pixel *c, int cs, int w, int h)
+{
+    ++g_distortion_calls;
+    return g_counted_dsp->satd_avg_rect(a, as, b, bs, c, cs, w, h);
+}
+
+/** g_counted_dsp with every distortion kernel counted. */
+Dsp
+counting_dsp(const Dsp &dsp)
+{
+    g_counted_dsp = &dsp;
+    Dsp counting = dsp;
+    counting.sad_rect = counted_sad_rect;
+    counting.satd_rect = counted_satd_rect;
+    counting.sad_avg_rect = counted_sad_avg_rect;
+    counting.sad_avg4_rect = counted_sad_avg4_rect;
+    counting.satd_avg_rect = counted_satd_avg_rect;
+    return counting;
+}
+
+/** A reference (@p smooth) and a current picture that is it at a
+ * quarter-sample offset plus noise drawn from @p rng, so walks from
+ * nearby starts move and turn back on themselves. */
+void
+make_walk_scene(std::mt19937 &rng, const Dsp &dsp, Plane *smooth,
+                Plane *cur)
+{
+    const Plane ref = random_plane(96, 96, 31);
+    *smooth = Plane(96, 96, kRefBorder);
+    for (int y = 0; y < 96; ++y)
+        for (int x = 0; x < 96; ++x)
+            smooth->at(x, y) = static_cast<Pixel>(
+                (ref.at(x, y) + ref.at(std::min(x + 1, 95), y) +
+                 ref.at(x, std::min(y + 1, 95)) +
+                 ref.at(std::min(x + 1, 95), std::min(y + 1, 95)) + 2) >>
+                2);
+    smooth->extend_borders();
+    *cur = Plane(96, 96, kRefBorder);
+    for (int y = 0; y < 96; y += 16)
+        for (int x = 0; x < 96; x += 16)
+            mc_h264_luma(*smooth, x, y, {3, -2}, cur->row(y) + x,
+                         cur->stride(), 16, 16, dsp);
+    for (int y = 0; y < 96; ++y)
+        for (int x = 0; x < 96; ++x)
+            cur->at(x, y) = clamp_pixel(cur->at(x, y) +
+                                        static_cast<int>(rng() % 5) - 2);
+}
+
 /** subpel_refine without the visited bitmap: every neighbour of every
  * round is scored, revisits included. */
 template <typename PredictFn>
@@ -335,34 +401,14 @@ void
 expect_same_walk_fewer_calls(std::initializer_list<int> steps)
 {
     const Dsp &dsp = get_dsp(best_simd_level());
-    g_counted_dsp = &dsp;
-    Dsp counting = dsp;
-    counting.sad_rect = counted_sad_rect;
-    counting.satd_rect = counted_satd_rect;
+    const Dsp counting = counting_dsp(dsp);
     const MeParams params{16, 32, 2, &counting, 0};
 
-    // cur is ref at a quarter-sample offset plus noise, so walks from
-    // nearby starts move and turn back on themselves.
-    const Plane ref = random_plane(96, 96, 31);
-    Plane smooth(96, 96, kRefBorder);
-    for (int y = 0; y < 96; ++y)
-        for (int x = 0; x < 96; ++x)
-            smooth.at(x, y) = static_cast<Pixel>(
-                (ref.at(x, y) + ref.at(std::min(x + 1, 95), y) +
-                 ref.at(x, std::min(y + 1, 95)) +
-                 ref.at(std::min(x + 1, 95), std::min(y + 1, 95)) + 2) >>
-                2);
-    smooth.extend_borders();
-    Plane cur(96, 96, kRefBorder);
     std::mt19937 rng(47);
-    for (int y = 0; y < 96; y += 16)
-        for (int x = 0; x < 96; x += 16)
-            mc_h264_luma(smooth, x, y, {3, -2}, cur.row(y) + x,
-                         cur.stride(), 16, 16, dsp);
-    for (int y = 0; y < 96; ++y)
-        for (int x = 0; x < 96; ++x)
-            cur.at(x, y) = clamp_pixel(cur.at(x, y) +
-                                       static_cast<int>(rng() % 5) - 2);
+    Plane smooth, cur;
+    make_walk_scene(rng, dsp, &smooth, &cur);
+    Plane centre(96, 96, kRefBorder);
+    build_centre_plane(smooth, &centre, dsp);
 
     const auto near = [&] {
         return static_cast<s16>(static_cast<int>(rng() % 9) - 4);
@@ -394,6 +440,26 @@ expect_same_walk_fewer_calls(std::initializer_list<int> steps)
             EXPECT_EQ(walk.mv, rescoring.mv);
             EXPECT_EQ(walk.cost, rescoring.cost);
             EXPECT_EQ(walk.sad, rescoring.sad);
+
+            // The encoders' walk: from the full-sample start below,
+            // over a window, averaged candidates scored by the fused
+            // kernels (counted as well).
+            const MotionVector full{static_cast<s16>(start.x & ~3),
+                                    static_cast<s16>(start.y & ~3)};
+            const QpelSearchWindow win(smooth, centre, blk.x0, blk.y0,
+                                       blk.w, blk.h, full, dsp);
+            g_distortion_calls = 0;
+            const MeResult fused = subpel_refine_views(
+                blk, full, pred, params, steps, satd,
+                [&](MotionVector mv) { return win.candidate(mv); });
+            walk_calls += g_distortion_calls;
+            g_distortion_calls = 0;
+            const MeResult fused_rescoring = refine_rescoring(
+                blk, full, pred, params, steps, satd, predict);
+            rescoring_calls += g_distortion_calls;
+            EXPECT_EQ(fused.mv, fused_rescoring.mv);
+            EXPECT_EQ(fused.cost, fused_rescoring.cost);
+            EXPECT_EQ(fused.sad, fused_rescoring.sad);
         }
     }
     EXPECT_LT(walk_calls, rescoring_calls);
@@ -412,6 +478,193 @@ TEST(SubpelRefine, SkipsRevisitsDoubleSteps)
 TEST(SubpelRefine, SkipsRevisitsQuarterSampleWalk)
 {
     expect_same_walk_fewer_calls({2, 1});
+}
+
+// ---- averaged candidates scored in place by the fused kernels ----
+
+/** Which buffer-filling predictor a fused walk is checked against. */
+enum class FusedPath { kHalfpel, kQpelTap, kH264Luma };
+
+/**
+ * The in-place walk against subpel_refine over the codec's MC function
+ * at every SIMD level, on seeded random blocks, starts and predictors:
+ * the same MeResult every time. The MPEG-2 walk scores
+ * halfpel_candidate; the quarter-sample ones a QpelSearchWindow, SAD
+ * for MPEG-4 and SATD for H.264.
+ */
+void
+expect_fused_matches_copies(FusedPath path)
+{
+    const bool half = path == FusedPath::kHalfpel;
+    const bool satd = path == FusedPath::kH264Luma;
+    const auto mc = path == FusedPath::kQpelTap ? mc_qpel_tap : mc_h264_luma;
+    for (int s = 0; s <= static_cast<int>(detected_simd_level()); ++s) {
+        const Dsp &dsp = get_dsp(static_cast<SimdLevel>(s));
+        SCOPED_TRACE(dsp.name);
+        std::mt19937 rng(61 + static_cast<unsigned>(s));
+        Plane ref, cur;
+        make_walk_scene(rng, dsp, &ref, &cur);
+        Plane centre(96, 96, kRefBorder);
+        build_centre_plane(ref, &centre, dsp);
+        const MeParams params{16, 32, half ? 1 : 2, &dsp, 0};
+        const auto draw = [&](int span) {
+            return static_cast<s16>(static_cast<int>(rng() % (2 * span + 1)) -
+                                    span);
+        };
+        int moved = 0;
+        for (int trial = 0; trial < 32; ++trial) {
+            SCOPED_TRACE("trial " + std::to_string(trial));
+            const MeBlock blk{&cur, &ref, 16 + static_cast<int>(rng() % 56),
+                              16 + static_cast<int>(rng() % 56),
+                              8 << (trial % 2), 8 << (trial / 2 % 2)};
+            const MotionVector pred{draw(4), draw(4)};
+            MeResult copied, fused;
+            if (half) {
+                const MotionVector start{draw(4), draw(4)};
+                copied = subpel_refine(
+                    blk, start, pred, params, {1}, false,
+                    [&](MotionVector mv, Pixel *dst, int ds) {
+                        mc_halfpel(ref, blk.x0, blk.y0, mv, dst, ds, blk.w,
+                                   blk.h, dsp);
+                    });
+                fused = subpel_refine_views(
+                    blk, start, pred, params, {1}, false,
+                    [&](MotionVector mv) {
+                        return halfpel_candidate(ref, blk.x0, blk.y0, mv);
+                    });
+                moved += fused.mv != start;
+            } else {
+                const MotionVector start{static_cast<s16>(4 * draw(2)),
+                                         static_cast<s16>(4 * draw(2))};
+                const auto predict = [&](MotionVector mv, Pixel *dst,
+                                         int ds) {
+                    mc(ref, blk.x0, blk.y0, mv, dst, ds, blk.w, blk.h, dsp);
+                };
+                const QpelSearchWindow win(ref, centre, blk.x0, blk.y0,
+                                           blk.w, blk.h, start, dsp);
+                const auto candidate = [&](MotionVector mv) {
+                    return win.candidate(mv);
+                };
+                // The full walk, and the half-sample-only walk of the
+                // approximation tier.
+                if (trial % 8 < 6) {
+                    copied = subpel_refine(blk, start, pred, params, {2, 1},
+                                           satd, predict);
+                    fused = subpel_refine_views(blk, start, pred, params,
+                                                {2, 1}, satd, candidate);
+                } else {
+                    copied = subpel_refine(blk, start, pred, params, {2},
+                                           satd, predict);
+                    fused = subpel_refine_views(blk, start, pred, params,
+                                                {2}, satd, candidate);
+                }
+                moved += fused.mv != start;
+            }
+            EXPECT_EQ(fused.mv, copied.mv);
+            EXPECT_EQ(fused.cost, copied.cost);
+            EXPECT_EQ(fused.sad, copied.sad);
+        }
+        // Walks that never leave their start would compare nothing
+        // but the start's cost.
+        EXPECT_GT(moved, 8);
+    }
+}
+
+TEST(SubpelRefine, FusedMatchesHalfpel)
+{
+    expect_fused_matches_copies(FusedPath::kHalfpel);
+}
+
+TEST(SubpelRefine, FusedMatchesQpelSad)
+{
+    expect_fused_matches_copies(FusedPath::kQpelTap);
+}
+
+TEST(SubpelRefine, FusedMatchesH264Satd)
+{
+    expect_fused_matches_copies(FusedPath::kH264Luma);
+}
+
+/** Kernels that build a candidate, and how often the counting table
+ * called them. */
+long g_build_calls = 0;
+
+void
+counted_copy_rect(Pixel *dst, int ds, const Pixel *src, int ss, int w,
+                  int h)
+{
+    ++g_build_calls;
+    g_counted_dsp->copy_rect(dst, ds, src, ss, w, h);
+}
+
+void
+counted_avg_rect(Pixel *dst, int ds, const Pixel *a, int as,
+                 const Pixel *b, int bs, int w, int h)
+{
+    ++g_build_calls;
+    g_counted_dsp->avg_rect(dst, ds, a, as, b, bs, w, h);
+}
+
+void
+counted_avg4_rect(Pixel *dst, int ds, const Pixel *src, int ss, int w,
+                  int h)
+{
+    ++g_build_calls;
+    g_counted_dsp->avg4_rect(dst, ds, src, ss, w, h);
+}
+
+TEST(SubpelRefine, FusedSearchBuildsNoCandidate)
+{
+    // The encoders' three searches — MPEG-2 half-sample, MPEG-4
+    // quarter-sample SAD, H.264 quarter-sample SATD — through a table
+    // that counts every copy_rect, avg_rect and avg4_rect: not one
+    // candidate may be built.
+    const Dsp &dsp = get_dsp(best_simd_level());
+    g_counted_dsp = &dsp;
+    Dsp counting = dsp;
+    counting.copy_rect = counted_copy_rect;
+    counting.avg_rect = counted_avg_rect;
+    counting.avg4_rect = counted_avg4_rect;
+    std::mt19937 rng(67);
+    Plane ref, cur;
+    make_walk_scene(rng, dsp, &ref, &cur);
+    Plane centre(96, 96, kRefBorder);
+    build_centre_plane(ref, &centre, counting);
+    const MeParams half_params{16, 32, 1, &counting, 0};
+    const MeParams qpel_params{16, 32, 2, &counting, 0};
+
+    g_build_calls = 0;
+    long searches = 0;
+    for (int y0 = 16; y0 < 80; y0 += 16) {
+        for (int x0 = 16; x0 < 80; x0 += 16) {
+            const MeBlock blk{&cur, &ref, x0, y0, 16, 16};
+            subpel_refine_views(
+                blk, {}, {}, half_params, {1}, false,
+                [&](MotionVector mv) {
+                    return halfpel_candidate(ref, x0, y0, mv);
+                });
+            const QpelSearchWindow win(ref, centre, x0, y0, 16, 16, {},
+                                       counting);
+            for (bool satd : {false, true}) {
+                subpel_refine_views(
+                    blk, {}, {}, qpel_params, {2, 1}, satd,
+                    [&](MotionVector mv) { return win.candidate(mv); });
+            }
+            searches += 3;
+        }
+    }
+    EXPECT_EQ(searches, 48);
+    EXPECT_EQ(g_build_calls, 0);
+
+    // The counter does see the buffer-filling path: every MPEG-2
+    // candidate is built there.
+    const MeBlock blk{&cur, &ref, 32, 32, 16, 16};
+    subpel_refine(blk, {}, {}, half_params, {1}, false,
+                  [&](MotionVector mv, Pixel *dst, int ds) {
+                      mc_halfpel(ref, 32, 32, mv, dst, ds, 16, 16,
+                                 counting);
+                  });
+    EXPECT_GE(g_build_calls, 9);
 }
 
 TEST(MvRateCost, GrowsWithDistanceFromPredictor)

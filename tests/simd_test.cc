@@ -234,6 +234,147 @@ TEST_P(KernelEquivalence, AvgAndAvg4)
     }
 }
 
+/** Flat and checkerboard 17 x 17 blocks (one spare row and column for
+ * avg4's neighbours): the largest differences the averaged-candidate
+ * kernels can see, and the rounding of (255 + 0 + 1) >> 1. */
+struct ExtremeBlocks {
+    static constexpr int kSide = 17;
+    std::vector<Pixel> zeros = std::vector<Pixel>(kSide * kSide, 0);
+    std::vector<Pixel> full = std::vector<Pixel>(kSide * kSide, 255);
+    std::vector<Pixel> check = pattern(1);
+    std::vector<Pixel> inverse = pattern(0);
+
+    static std::vector<Pixel>
+    pattern(int odd)
+    {
+        std::vector<Pixel> out(kSide * kSide);
+        for (int y = 0; y < kSide; ++y)
+            for (int x = 0; x < kSide; ++x)
+                out[y * kSide + x] = ((x + y) & 1) == odd ? 255 : 0;
+        return out;
+    }
+
+    std::vector<const Pixel *>
+    all() const
+    {
+        return {zeros.data(), full.data(), check.data(), inverse.data()};
+    }
+};
+
+TEST_P(KernelEquivalence, SadAvgRect)
+{
+    // Every w, h the contract allows (<= 16), unaligned operands, the
+    // b == c alias (the average is b itself) and the extremes.
+    const Pixel *a = buf_a_.data() + 3;
+    const Pixel *b = buf_b_.data() + 5;
+    const Pixel *c = buf_b_.data() + kStride + 6;
+    for (int w = 1; w <= 16; ++w) {
+        for (int h = 1; h <= 16; ++h) {
+            ASSERT_EQ(scalar_.sad_avg_rect(a, kStride, b, kStride, c,
+                                           kStride, w, h),
+                      simd_->sad_avg_rect(a, kStride, b, kStride, c,
+                                          kStride, w, h))
+                << "w=" << w << " h=" << h;
+            ASSERT_EQ(scalar_.sad_rect(a, kStride, b, kStride, w, h),
+                      simd_->sad_avg_rect(a, kStride, b, kStride, b,
+                                          kStride, w, h))
+                << "aliased w=" << w << " h=" << h;
+        }
+    }
+    const ExtremeBlocks x;
+    constexpr int kS = ExtremeBlocks::kSide;
+    for (const Pixel *xa : x.all()) {
+        for (const Pixel *xb : x.all()) {
+            for (const Pixel *xc : x.all()) {
+                for (int w : {8, 16}) {
+                    EXPECT_EQ(scalar_.sad_avg_rect(xa, kS, xb, kS, xc, kS,
+                                                   w, 16),
+                              simd_->sad_avg_rect(xa, kS, xb, kS, xc, kS,
+                                                  w, 16))
+                        << "w=" << w;
+                }
+            }
+        }
+    }
+}
+
+TEST_P(KernelEquivalence, SadAvg4Rect)
+{
+    const Pixel *a = buf_a_.data() + 3;
+    const Pixel *s = buf_b_.data() + 5;
+    for (int w = 1; w <= 16; ++w) {
+        for (int h = 1; h <= 16; ++h) {
+            ASSERT_EQ(scalar_.sad_avg4_rect(a, kStride, s, kStride, w, h),
+                      simd_->sad_avg4_rect(a, kStride, s, kStride, w, h))
+                << "w=" << w << " h=" << h;
+        }
+    }
+    // The diagonal reads a row and a column past the block: a row
+    // aliasing the block's own (s == a) and the extremes.
+    for (int w : {8, 16}) {
+        EXPECT_EQ(scalar_.sad_avg4_rect(a, kStride, a, kStride, w, 16),
+                  simd_->sad_avg4_rect(a, kStride, a, kStride, w, 16));
+    }
+    const ExtremeBlocks x;
+    constexpr int kS = ExtremeBlocks::kSide;
+    for (const Pixel *xa : x.all()) {
+        for (const Pixel *xs : x.all()) {
+            for (int w : {8, 16}) {
+                EXPECT_EQ(scalar_.sad_avg4_rect(xa, kS, xs, kS, w, 16),
+                          simd_->sad_avg4_rect(xa, kS, xs, kS, w, 16))
+                    << "w=" << w;
+            }
+        }
+    }
+    // A full-swing checkerboard averages to (2 * 255 + 2) >> 2 = 128.
+    EXPECT_EQ(simd_->sad_avg4_rect(x.zeros.data(), kS, x.check.data(), kS,
+                                   16, 16),
+              16 * 16 * 128);
+}
+
+TEST_P(KernelEquivalence, SatdAvgRect)
+{
+    const Pixel *a = buf_a_.data() + 1;
+    const Pixel *b = buf_b_.data() + 2;
+    const Pixel *c = buf_a_.data() + 2 * kStride + 7;
+    for (int w : {4, 8, 12, 16}) {
+        for (int h : {4, 8, 12, 16}) {
+            EXPECT_EQ(scalar_.satd_avg_rect(a, kStride, b, kStride, c,
+                                            kStride, w, h),
+                      simd_->satd_avg_rect(a, kStride, b, kStride, c,
+                                           kStride, w, h))
+                << "w=" << w << " h=" << h;
+            EXPECT_EQ(scalar_.satd_rect(a, kStride, b, kStride, w, h),
+                      simd_->satd_avg_rect(a, kStride, b, kStride, b,
+                                           kStride, w, h))
+                << "aliased w=" << w << " h=" << h;
+        }
+    }
+    // The SatdExtremes magnitudes through the averaging loads: flat
+    // and checkerboard +-255 differences, and the 128 a +-255 pair
+    // rounds to.
+    const ExtremeBlocks x;
+    constexpr int kS = ExtremeBlocks::kSide;
+    for (const Pixel *xa : x.all()) {
+        for (const Pixel *xb : x.all()) {
+            for (const Pixel *xc : x.all()) {
+                for (int w : {4, 8, 12, 16}) {
+                    for (int h : {4, 8, 16}) {
+                        EXPECT_EQ(scalar_.satd_avg_rect(xa, kS, xb, kS, xc,
+                                                        kS, w, h),
+                                  simd_->satd_avg_rect(xa, kS, xb, kS, xc,
+                                                       kS, w, h))
+                            << "w=" << w << " h=" << h;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(simd_->satd_avg_rect(x.zeros.data(), kS, x.full.data(), kS,
+                                   x.full.data(), kS, 16, 16),
+              16 * 16 * 255 / 2);
+}
+
 TEST_P(KernelEquivalence, QpelBilin)
 {
     const Pixel *a = buf_a_.data() + 6;

@@ -87,12 +87,12 @@ TEST(SubpelCache, CachedViewEqualsMcH264Luma)
                             Pixel want[16 * 16];
                             mc_h264_luma(ref, cx.pos, cy.pos, mv, want, 16,
                                          bs.w, bs.h, dsp);
-                            Pixel scratch[16 * 16];
-                            const PixelView got =
-                                win.predict(mv, scratch, 16);
+                            Pixel got[16 * 16];
+                            build_candidate(win.candidate(mv), got, 16,
+                                            bs.w, bs.h, dsp);
                             for (int y = 0; y < bs.h; ++y) {
                                 for (int x = 0; x < bs.w; ++x) {
-                                    ASSERT_EQ(got.data[y * got.stride + x],
+                                    ASSERT_EQ(got[y * 16 + x],
                                               want[y * 16 + x])
                                         << "mv (" << mv.x << "," << mv.y
                                         << ") at (" << x << "," << y
@@ -156,9 +156,7 @@ TEST(SubpelCache, RefineOnViewsMatchesRefineOnCopies)
                                        bs.h, start, dsp);
             const MeResult viewed = subpel_refine_views(
                 blk, start, MotionVector{}, params, {2, 1}, satd,
-                [&](MotionVector mv, Pixel *scratch, int ss) {
-                    return win.predict(mv, scratch, ss);
-                });
+                [&](MotionVector mv) { return win.candidate(mv); });
             EXPECT_EQ(viewed.mv, copied.mv);
             EXPECT_EQ(viewed.cost, copied.cost);
             EXPECT_EQ(viewed.sad, copied.sad);
