@@ -18,6 +18,7 @@
 
 #include "core/benchmark.h"
 #include "dsp/quant.h"
+#include "h264/deblock.h"
 #include "mc/mc.h"
 #include "me/me.h"
 #include "simd/dispatch.h"
@@ -524,6 +525,167 @@ BM_H264Dequant4x4(benchmark::State &state)
     state.SetLabel(dsp.name);
 }
 BENCHMARK(BM_H264Dequant4x4)->Apply(per_detected_level);
+
+// ---- H.264-class picture reconstruction: the deblocking edge filters
+// (16 lines per call), the inverse transform plus add, and the whole
+// picture's deblocking pass.
+
+/** A 1088p-wide strip whose 16-line edges pass the filter thresholds:
+ * smooth levels with a small step across every fourth column and row,
+ * so each call runs the filter arithmetic rather than exiting early. */
+struct EdgeStrip {
+    static constexpr int kRows = 48;
+    std::vector<Pixel> pixels;
+    EdgeStrip() : pixels(static_cast<size_t>(kStride) * kRows)
+    {
+        std::mt19937 rng(7);
+        for (int y = 0; y < kRows; ++y) {
+            for (int x = 0; x < kStride; ++x) {
+                pixels[static_cast<size_t>(y) * kStride + x] =
+                    static_cast<Pixel>(100 + (x / 4 + y / 4) % 2 * 6 +
+                                       static_cast<int>(rng() % 3));
+            }
+        }
+    }
+};
+
+// Mixed strengths at qp 30, one segment of each filter kind.
+const u8 kEdgeBs[4] = {1, 2, 3, 4};
+const u8 kEdgeTc0[4] = {2, 3, 4, 5};
+
+template <bool kVertical>
+void
+BM_H264DeblockLuma(benchmark::State &state)
+{
+    const Dsp &dsp = get_dsp(level_of(state));
+    EdgeStrip strip;
+    const h264::DeblockThresholds t = h264::deblock_thresholds(30);
+    Pixel *pix = strip.pixels.data() + 16 * kStride + 64;
+    for (auto _ : state) {
+        if (kVertical) {
+            dsp.h264_deblock_luma_v(pix, kStride, t.alpha, t.beta,
+                                    kEdgeBs, kEdgeTc0);
+        } else {
+            dsp.h264_deblock_luma_h(pix, kStride, t.alpha, t.beta,
+                                    kEdgeBs, kEdgeTc0);
+        }
+        benchmark::DoNotOptimize(pix);
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(dsp.name);
+}
+void
+BM_H264DeblockLumaV(benchmark::State &state)
+{
+    BM_H264DeblockLuma<true>(state);
+}
+void
+BM_H264DeblockLumaH(benchmark::State &state)
+{
+    BM_H264DeblockLuma<false>(state);
+}
+BENCHMARK(BM_H264DeblockLumaV)->Apply(per_detected_level);
+BENCHMARK(BM_H264DeblockLumaH)->Apply(per_detected_level);
+
+template <bool kVertical>
+void
+BM_H264DeblockChroma(benchmark::State &state)
+{
+    const Dsp &dsp = get_dsp(level_of(state));
+    EdgeStrip cb, cr;
+    const h264::DeblockThresholds t = h264::deblock_thresholds(30);
+    Pixel *pb = cb.pixels.data() + 16 * kStride + 64;
+    Pixel *pr = cr.pixels.data() + 16 * kStride + 64;
+    for (auto _ : state) {
+        if (kVertical) {
+            dsp.h264_deblock_chroma_v(pb, pr, kStride, t.alpha, t.beta,
+                                      kEdgeBs, kEdgeTc0);
+        } else {
+            dsp.h264_deblock_chroma_h(pb, pr, kStride, t.alpha, t.beta,
+                                      kEdgeBs, kEdgeTc0);
+        }
+        benchmark::DoNotOptimize(pb);
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(dsp.name);
+}
+void
+BM_H264DeblockChromaV(benchmark::State &state)
+{
+    BM_H264DeblockChroma<true>(state);
+}
+void
+BM_H264DeblockChromaH(benchmark::State &state)
+{
+    BM_H264DeblockChroma<false>(state);
+}
+BENCHMARK(BM_H264DeblockChromaV)->Apply(per_detected_level);
+BENCHMARK(BM_H264DeblockChromaH)->Apply(per_detected_level);
+
+void
+BM_H264Inv4x4Add(benchmark::State &state)
+{
+    const Dsp &dsp = get_dsp(level_of(state));
+    const H264Quantizer quant(28, false, dsp);
+    Coeff blk[16];
+    std::copy(data().coeffs.begin(), data().coeffs.begin() + 16, blk);
+    quant.quantize4x4(blk);
+    quant.dequantize4x4(blk);
+    std::vector<Pixel> dst(data().a.begin(), data().a.begin() + 4 * 16);
+    for (auto _ : state) {
+        dsp.h264_inv4x4_add(dst.data(), 16, blk);
+        benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK(BM_H264Inv4x4Add)->Apply(per_detected_level);
+
+void
+BM_DeblockPicture(benchmark::State &state)
+{
+    // One 1088p picture of riverbed over a grid shaped like a decoded P
+    // picture's: per macroblock intra (1 in 8), coded inter (3 in 8,
+    // half its blocks with levels) or uncoded with a vector that
+    // sometimes differs from the left neighbour's.
+    const Dsp &dsp = get_dsp(level_of(state));
+    const ResolutionInfo res = resolution_info(Resolution::k1088p25);
+    SyntheticSource source(SequenceId::kRiverbed, res.width, res.height);
+    const Frame picture = source.at(0);
+    h264::BlockInfoGrid grid(res.width, res.height);
+    std::mt19937 rng(11);
+    for (int mby = 0; mby < grid.height4() / 4; ++mby) {
+        for (int mbx = 0; mbx < grid.width4() / 4; ++mbx) {
+            const int kind = static_cast<int>(rng() % 8);
+            const MotionVector mv{static_cast<s16>(rng() % 3 * 4), 0};
+            for (int b = 0; b < 16; ++b) {
+                h264::BlockInfo &info =
+                    grid.at(mbx * 4 + b % 4, mby * 4 + b / 4);
+                info.intra = kind == 0;
+                info.nonzero = kind <= 3 && rng() % 2 == 0;
+                info.ref = kind == 0 ? -1 : 0;
+                info.mv = kind == 0 ? MotionVector{} : mv;
+            }
+        }
+    }
+    Frame work(res.width, res.height);
+    const int qp = benchmark_config(CodecId::kH264, Resolution::k1088p25,
+                                    best_simd_level())
+                       .qp;
+    for (auto _ : state) {
+        state.PauseTiming();
+        work.copy_from(picture);
+        state.ResumeTiming();
+        h264::deblock_picture(&work, grid, qp, 0, dsp);
+        benchmark::DoNotOptimize(work.luma().row(0));
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(dsp.name);
+}
+BENCHMARK(BM_DeblockPicture)
+    ->Name("BM_DeblockPicture/1088p")
+    ->Apply(per_detected_level)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- Plane-level memory operations (the frame-memory layout's cost
 // centres: border extension once per reference picture, whole-plane

@@ -197,6 +197,14 @@ class VideoEncoder : public Codec
         return Status::unimplemented(
             "this encoder does not support analysis-reuse hints");
     }
+
+    /**
+     * The reconstruction, in-loop filter included, of the picture this
+     * encoder coded last: what a decoder of the emitted stream outputs
+     * for that picture. Null when the encoder does not expose it.
+     * Valid until the next encode() or flush().
+     */
+    virtual const Frame *last_reconstruction() const { return nullptr; }
 };
 
 /** Streaming decoder interface; frames come out in display order. */

@@ -18,6 +18,9 @@
 #ifndef HDVB_DSP_QUANT_H
 #define HDVB_DSP_QUANT_H
 
+#include <cstdint>
+#include <cstring>
+
 #include "common/types.h"
 #include "simd/dispatch.h"
 
@@ -112,6 +115,34 @@ class H264Quantizer
     dequantize4x4(Coeff blk[16]) const
     {
         dsp_->h264_dequant4x4(blk, table_);
+    }
+
+    /**
+     * Dequantise a 4x4 level block and add its inverse transform to the
+     * 4x4 block at @p dst: the H.264-class residual reconstruction of
+     * encoder and decoder alike. @p dc_coeff, unless INT32_MIN, replaces
+     * the dequantised DC (the Intra16 Hadamard path). A block with no
+     * level and a zero DC would add zero everywhere, so it returns at
+     * once.
+     */
+    void
+    recon4x4(const Coeff levels[16], s32 dc_coeff, Pixel *dst,
+             int ds) const
+    {
+        const Coeff dc =
+            dc_coeff == INT32_MIN
+                ? Coeff{0}
+                : static_cast<Coeff>(clamp<s32>(dc_coeff, -32768, 32767));
+        u64 words[4];
+        std::memcpy(words, levels, sizeof(words));
+        if ((words[0] | words[1] | words[2] | words[3]) == 0 && dc == 0)
+            return;
+        alignas(16) Coeff tmp[16];
+        std::memcpy(tmp, levels, sizeof(tmp));
+        dsp_->h264_dequant4x4(tmp, table_);
+        if (dc_coeff != INT32_MIN)
+            tmp[0] = dc;
+        dsp_->h264_inv4x4_add(dst, ds, tmp);
     }
 
     /**

@@ -1,5 +1,7 @@
 #include "h264/deblock.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace hdvb::h264 {
@@ -21,16 +23,6 @@ const u8 kBeta[52] = {
     17, 17, 18, 18,
 };
 
-/** Monotonic approximation of the standard's tc0 clipping table. */
-inline int
-tc0_value(int qp, int bs)
-{
-    if (qp < 16)
-        return 0;
-    const int base = (qp - 12) / 6;
-    return base + bs - 1;
-}
-
 inline int
 iabs(int v)
 {
@@ -38,81 +30,11 @@ iabs(int v)
 }
 
 /**
- * Filter one line of samples across an edge. p0 = p0p[0] with p1/p2 at
- * -step/-2*step behind it; q0 = q0p[0] with q1/q2 ahead at +step.
- */
-inline void
-filter_line(Pixel *p0p, Pixel *q0p, int step, int alpha, int beta,
-            int bs, int tc0)
-{
-    const int p0 = p0p[0];
-    const int p1 = p0p[-step];
-    const int p2 = p0p[-2 * step];
-    const int q0 = q0p[0];
-    const int q1 = q0p[step];
-    const int q2 = q0p[2 * step];
-
-    if (iabs(p0 - q0) >= alpha || iabs(p1 - p0) >= beta ||
-        iabs(q1 - q0) >= beta) {
-        return;
-    }
-
-    if (bs == 4) {
-        // Strong filter.
-        if (iabs(p0 - q0) < (alpha >> 2) + 2) {
-            if (iabs(p2 - p0) < beta) {
-                p0p[0] = static_cast<Pixel>(
-                    (p2 + 2 * p1 + 2 * p0 + 2 * q0 + q1 + 4) >> 3);
-                p0p[-step] = static_cast<Pixel>(
-                    (p2 + p1 + p0 + q0 + 2) >> 2);
-            } else {
-                p0p[0] = static_cast<Pixel>(
-                    (2 * p1 + p0 + q1 + 2) >> 2);
-            }
-            if (iabs(q2 - q0) < beta) {
-                q0p[0] = static_cast<Pixel>(
-                    (q2 + 2 * q1 + 2 * q0 + 2 * p0 + p1 + 4) >> 3);
-                q0p[step] = static_cast<Pixel>(
-                    (q2 + q1 + q0 + p0 + 2) >> 2);
-            } else {
-                q0p[0] = static_cast<Pixel>(
-                    (2 * q1 + q0 + p1 + 2) >> 2);
-            }
-        } else {
-            p0p[0] = static_cast<Pixel>((2 * p1 + p0 + q1 + 2) >> 2);
-            q0p[0] = static_cast<Pixel>((2 * q1 + q0 + p1 + 2) >> 2);
-        }
-        return;
-    }
-
-    // Normal filter.
-    int tc = tc0;
-    const bool fp1 = iabs(p2 - p0) < beta;
-    const bool fq1 = iabs(q2 - q0) < beta;
-    tc += fp1 ? 1 : 0;
-    tc += fq1 ? 1 : 0;
-    const int delta =
-        clamp(((q0 - p0) * 4 + (p1 - q1) + 4) >> 3, -tc, tc);
-    p0p[0] = clamp_pixel(p0 + delta);
-    q0p[0] = clamp_pixel(q0 - delta);
-    if (fp1) {
-        const int d = clamp((p2 + ((p0 + q0 + 1) >> 1) - 2 * p1) >> 1,
-                            -tc0, tc0);
-        p0p[-step] = static_cast<Pixel>(p1 + d);
-    }
-    if (fq1) {
-        const int d = clamp((q2 + ((p0 + q0 + 1) >> 1) - 2 * q1) >> 1,
-                            -tc0, tc0);
-        q0p[step] = static_cast<Pixel>(q1 + d);
-    }
-}
-
-/**
  * Fast-path smoothness probe (approx >= 2): true when every line of
  * the edge steps by at most one grey level across the boundary. Such
  * edges are visually seamless already, so the filter is skipped before
  * the boundary strength is even computed. Reads 2 samples per line
- * against filter_line's 6.
+ * against the filter's 6.
  */
 inline bool
 edge_is_smooth(const Pixel *q0, int line_step, int cross_step, int n)
@@ -141,98 +63,153 @@ boundary_strength(const BlockInfo &p, const BlockInfo &q,
     return 0;
 }
 
+/** Per-segment kernel arguments for one 16-line edge call. */
+struct EdgeArgs {
+    u8 bs[4] = {};
+    u8 tc0[4] = {};
+    bool any = false;
+
+    void
+    set(int seg, int qp, int strength)
+    {
+        bs[seg] = static_cast<u8>(strength);
+        if (strength != 0) {
+            tc0[seg] = static_cast<u8>(deblock_tc0(qp, strength));
+            any = true;
+        }
+    }
+};
+
 }  // namespace
+
+DeblockThresholds
+deblock_thresholds(int qp)
+{
+    return {kAlpha[clamp(qp, 0, 51)], kBeta[clamp(qp, 0, 51)]};
+}
+
+/** Monotonic approximation of the standard's tc0 clipping table. */
+int
+deblock_tc0(int qp, int bs)
+{
+    if (qp < 16)
+        return 0;
+    const int base = (qp - 12) / 6;
+    return base + bs - 1;
+}
 
 void
 deblock_picture(Frame *frame, const BlockInfoGrid &grid, int qp,
-                int approx)
+                int approx, const Dsp &dsp)
 {
-    const int alpha = kAlpha[clamp(qp, 0, 51)];
-    const int beta = kBeta[clamp(qp, 0, 51)];
+    const auto [alpha, beta] = deblock_thresholds(qp);
     if (alpha == 0 || beta == 0)
         return;
     const bool fast = approx >= 2;
+    // A group of 16 lines that runs past the picture edge takes the
+    // scalar kernels, which read no line of a segment with bs 0.
+    const Dsp &partial = get_dsp(SimdLevel::kScalar);
 
     Plane &luma = frame->luma();
     const int w4 = grid.width4();
     const int h4 = grid.height4();
     const int stride = luma.stride();
 
-    // Vertical edges (filter across columns), then horizontal edges.
-    for (int by = 0; by < h4; ++by) {
+    // Vertical edges (filter across columns), then horizontal edges,
+    // 16 lines per call: a vertical edge's filter reads and writes only
+    // its own rows, and a horizontal edge's only its own columns, so
+    // every sample still sees its edges in the per-segment order.
+    for (int by0 = 0; by0 < h4; by0 += 4) {
+        const int segs = std::min(4, h4 - by0);
+        const Dsp &k = segs == 4 ? dsp : partial;
         for (int bx = 1; bx < w4; ++bx) {
-            Pixel *base = luma.row(by * 4) + bx * 4;
-            if (fast && edge_is_smooth(base, stride, 1, 4))
-                continue;
-            const BlockInfo &p = grid.at(bx - 1, by);
-            const BlockInfo &q = grid.at(bx, by);
-            const int bs = boundary_strength(p, q, bx % 4 == 0);
-            if (bs == 0)
-                continue;
-            const int tc0 = tc0_value(qp, bs);
-            for (int i = 0; i < 4; ++i) {
-                filter_line(base + i * stride - 1, base + i * stride, 1,
-                            alpha, beta, bs, tc0);
+            Pixel *base = luma.row(by0 * 4) + bx * 4;
+            EdgeArgs edge;
+            for (int s = 0; s < segs; ++s) {
+                if (fast && edge_is_smooth(base + s * 4 * stride, stride,
+                                           1, 4)) {
+                    continue;
+                }
+                edge.set(s, qp,
+                         boundary_strength(grid.at(bx - 1, by0 + s),
+                                           grid.at(bx, by0 + s),
+                                           bx % 4 == 0));
+            }
+            if (edge.any) {
+                k.h264_deblock_luma_v(base, stride, alpha, beta, edge.bs,
+                                      edge.tc0);
             }
         }
     }
     for (int by = 1; by < h4; ++by) {
-        for (int bx = 0; bx < w4; ++bx) {
-            Pixel *base = luma.row(by * 4) + bx * 4;
-            if (fast && edge_is_smooth(base, 1, stride, 4))
-                continue;
-            const BlockInfo &p = grid.at(bx, by - 1);
-            const BlockInfo &q = grid.at(bx, by);
-            const int bs = boundary_strength(p, q, by % 4 == 0);
-            if (bs == 0)
-                continue;
-            const int tc0 = tc0_value(qp, bs);
-            for (int i = 0; i < 4; ++i) {
-                filter_line(base + i - stride, base + i, stride, alpha,
-                            beta, bs, tc0);
+        for (int bx0 = 0; bx0 < w4; bx0 += 4) {
+            const int segs = std::min(4, w4 - bx0);
+            const Dsp &k = segs == 4 ? dsp : partial;
+            Pixel *base = luma.row(by * 4) + bx0 * 4;
+            EdgeArgs edge;
+            for (int s = 0; s < segs; ++s) {
+                if (fast && edge_is_smooth(base + s * 4, 1, stride, 4))
+                    continue;
+                edge.set(s, qp,
+                         boundary_strength(grid.at(bx0 + s, by - 1),
+                                           grid.at(bx0 + s, by),
+                                           by % 4 == 0));
+            }
+            if (edge.any) {
+                k.h264_deblock_luma_h(base, stride, alpha, beta, edge.bs,
+                                      edge.tc0);
             }
         }
     }
 
     // Chroma: filter macroblock-boundary edges only, with the same
-    // thresholds (chroma QP = luma QP in this codec class).
-    for (int comp = 1; comp < 3; ++comp) {
-        Plane &plane = frame->plane(comp);
-        const int cs = plane.stride();
-        const int cw8 = plane.width() / 8;
-        const int ch8 = plane.height() / 8;
-        for (int by = 0; by < ch8; ++by) {
-            for (int bx = 1; bx < cw8; ++bx) {
-                Pixel *base = plane.row(by * 8) + bx * 8;
-                if (fast && edge_is_smooth(base, cs, 1, 8))
-                    continue;
-                const BlockInfo &p = grid.at(bx * 4 - 1, by * 4);
-                const BlockInfo &q = grid.at(bx * 4, by * 4);
-                const int bs = boundary_strength(p, q, true);
-                if (bs == 0)
-                    continue;
-                const int tc0 = tc0_value(qp, bs);
-                for (int i = 0; i < 8; ++i) {
-                    filter_line(base + i * cs - 1, base + i * cs, 1,
-                                alpha, beta, bs == 4 ? 3 : bs, tc0);
-                }
+    // thresholds (chroma QP = luma QP in this codec class). Cb and Cr
+    // share each edge's position and strength, so one call filters the
+    // 8 lines of both; the smoothness probe still looks at each plane.
+    Plane &cb = frame->cb();
+    Plane &cr = frame->cr();
+    HDVB_DCHECK(cb.stride() == cr.stride());
+    const int cs = cb.stride();
+    const int cw8 = cb.width() / 8;
+    const int ch8 = cb.height() / 8;
+    const auto chroma_edge = [&](Pixel *pb, Pixel *pr, int line_step,
+                                 int cross_step, const BlockInfo &p,
+                                 const BlockInfo &q) {
+        const int bs = boundary_strength(p, q, true);
+        if (bs == 0)
+            return EdgeArgs{};
+        EdgeArgs edge;
+        const bool skip_cb = fast && edge_is_smooth(pb, line_step,
+                                                    cross_step, 8);
+        const bool skip_cr = fast && edge_is_smooth(pr, line_step,
+                                                    cross_step, 8);
+        for (int s = 0; s < 4; ++s)
+            edge.set(s, qp, (s < 2 ? skip_cb : skip_cr) ? 0 : bs);
+        return edge;
+    };
+    for (int by = 0; by < ch8; ++by) {
+        for (int bx = 1; bx < cw8; ++bx) {
+            Pixel *pb = cb.row(by * 8) + bx * 8;
+            Pixel *pr = cr.row(by * 8) + bx * 8;
+            const EdgeArgs edge =
+                chroma_edge(pb, pr, cs, 1, grid.at(bx * 4 - 1, by * 4),
+                            grid.at(bx * 4, by * 4));
+            if (edge.any) {
+                dsp.h264_deblock_chroma_v(pb, pr, cs, alpha, beta,
+                                          edge.bs, edge.tc0);
             }
         }
-        for (int by = 1; by < ch8; ++by) {
-            for (int bx = 0; bx < cw8; ++bx) {
-                Pixel *base = plane.row(by * 8) + bx * 8;
-                if (fast && edge_is_smooth(base, 1, cs, 8))
-                    continue;
-                const BlockInfo &p = grid.at(bx * 4, by * 4 - 1);
-                const BlockInfo &q = grid.at(bx * 4, by * 4);
-                const int bs = boundary_strength(p, q, true);
-                if (bs == 0)
-                    continue;
-                const int tc0 = tc0_value(qp, bs);
-                for (int i = 0; i < 8; ++i) {
-                    filter_line(base + i - cs, base + i, cs, alpha,
-                                beta, bs == 4 ? 3 : bs, tc0);
-                }
+    }
+    for (int by = 1; by < ch8; ++by) {
+        for (int bx = 0; bx < cw8; ++bx) {
+            Pixel *pb = cb.row(by * 8) + bx * 8;
+            Pixel *pr = cr.row(by * 8) + bx * 8;
+            const EdgeArgs edge =
+                chroma_edge(pb, pr, 1, cs, grid.at(bx * 4, by * 4 - 1),
+                            grid.at(bx * 4, by * 4));
+            if (edge.any) {
+                dsp.h264_deblock_chroma_h(pb, pr, cs, alpha, beta,
+                                          edge.bs, edge.tc0);
             }
         }
     }

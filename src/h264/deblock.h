@@ -9,6 +9,12 @@
  * a monotonic approximation (documented simplification — bitstream
  * compatibility is out of scope, encoder and decoder share this exact
  * code so reconstructions match).
+ *
+ * deblock_picture decides the strengths; the filters themselves are
+ * Dsp kernels (simd/dispatch.h) that take 16 lines of one edge per
+ * call: 16 luma lines, or the 8 Cb and 8 Cr lines of a chroma edge.
+ * The scalar kernels are the reference; the SSE2 and AVX2 ones filter
+ * the 16 lines as vector lanes and are bit-exact with it.
  */
 #ifndef HDVB_H264_DEBLOCK_H
 #define HDVB_H264_DEBLOCK_H
@@ -17,6 +23,7 @@
 
 #include "common/types.h"
 #include "mc/mc.h"
+#include "simd/dispatch.h"
 #include "video/frame.h"
 
 namespace hdvb::h264 {
@@ -66,6 +73,17 @@ class BlockInfoGrid
     std::vector<BlockInfo> info_;
 };
 
+/** The filter thresholds of picture quantiser @p qp (clamped to
+ * 0..51); with alpha or beta 0 nothing is filtered. */
+struct DeblockThresholds {
+    int alpha;
+    int beta;
+};
+DeblockThresholds deblock_thresholds(int qp);
+
+/** The clipping bound tc0 of an edge of strength @p bs (1..4). */
+int deblock_tc0(int qp, int bs);
+
 /**
  * Filter a reconstructed picture in place. Both the encoder (closed
  * loop) and the decoder call this with identical inputs.
@@ -74,9 +92,12 @@ class BlockInfoGrid
  *   edges whose straddling samples are already flat skip the boundary
  *   strength computation and the filter entirely — a shared shortcut,
  *   so encoder and decoder reconstructions still match exactly.
+ * @param dsp kernel table of the filters; every level gives the same
+ *   picture.
  */
 void deblock_picture(Frame *frame, const BlockInfoGrid &grid, int qp,
-                     int approx = 0);
+                     int approx = 0,
+                     const Dsp &dsp = get_dsp(best_simd_level()));
 
 }  // namespace hdvb::h264
 

@@ -127,6 +127,9 @@ class H264Decoder final : public DecoderBase
                              int mby, MbRec *recs, int *bad_from) const;
     void recon_mb_rec(MbState &st, const MbRec &rec);
     void recon_intra_rec(MbState &st, const MbRec &rec);
+    void recon_chroma_rec(MbState &st, const MbRec &rec,
+                          const Pixel *cb_pred, const Pixel *cr_pred,
+                          const H264Quantizer &quant);
 
     bool decode_mb(MbState &st);
     bool decode_intra_mb(MbState &st);
@@ -220,23 +223,6 @@ H264Decoder::fill_binfo(const MbState &st, bool intra, s8 ref,
     }
 }
 
-namespace {
-
-inline void
-recon4x4(const Dsp &dsp, const Coeff levels[16],
-         const H264Quantizer &quant, s32 dc_coeff, Pixel *dst, int ds)
-{
-    Coeff tmp[16];
-    std::memcpy(tmp, levels, sizeof(tmp));
-    quant.dequantize4x4(tmp);
-    if (dc_coeff != INT32_MIN)
-        tmp[0] = static_cast<Coeff>(clamp<s32>(dc_coeff, -32768, 32767));
-    h264_inv4x4(tmp);
-    dsp.add_rect(dst, ds, tmp, 4, 4, 4);
-}
-
-}  // namespace
-
 bool
 H264Decoder::decode_chroma(MbState &st, const Pixel *cb_pred,
                            const Pixel *cr_pred, bool intra)
@@ -247,16 +233,15 @@ H264Decoder::decode_chroma(MbState &st, const Pixel *cb_pred,
         const Pixel *pred = comp == 1 ? cb_pred : cr_pred;
         const int cx = st.mbx * 8;
         const int cy = st.mby * 8;
+        dsp_.copy_rect(plane.row(cy) + cx, plane.stride(), pred, 8, 8, 8);
         for (int b = 0; b < 4; ++b) {
             const int x = cx + (b & 1) * 4;
             const int y = cy + (b >> 1) * 4;
             Coeff blk[16] = {};
             if (!decode_block4x4(*rc_, ctx_, blk, 0, 1))
                 return false;
-            const Pixel *pp = pred + (b >> 1) * 4 * 8 + (b & 1) * 4;
-            Pixel *dst = plane.row(y) + x;
-            dsp_.copy_rect(dst, plane.stride(), pp, 8, 4, 4);
-            recon4x4(dsp_, blk, quant, INT32_MIN, dst, plane.stride());
+            quant.recon4x4(blk, INT32_MIN, plane.row(y) + x,
+                           plane.stride());
         }
     }
     return true;
@@ -295,14 +280,12 @@ H264Decoder::decode_luma_intra16(MbState &st)
     }
     hadamard4x4_inv(dc_rec);
     mb_nz_map_ = 0;
+    dsp_.copy_rect(luma.row(ly) + lx, luma.stride(), pred, 16, 16, 16);
     for (int b = 0; b < 16; ++b) {
         const int x = lx + (b & 3) * 4;
         const int y = ly + (b >> 2) * 4;
-        Pixel *dst = luma.row(y) + x;
-        dsp_.copy_rect(dst, luma.stride(),
-                       pred + (b >> 2) * 4 * 16 + (b & 3) * 4, 16, 4, 4);
-        recon4x4(dsp_, levels[b], *quant_i_, (dc_rec[b] + 8) >> 4, dst,
-                 luma.stride());
+        quant_i_->recon4x4(levels[b], (dc_rec[b] + 8) >> 4,
+                           luma.row(y) + x, luma.stride());
         bool nz = dc_nz;
         for (int i = 1; i < 16; ++i)
             nz |= levels[b][i] != 0;
@@ -338,7 +321,7 @@ H264Decoder::decode_luma_intra4(MbState &st)
             return false;
         Pixel *dst = luma.row(y) + x;
         dsp_.copy_rect(dst, luma.stride(), pred, 4, 4, 4);
-        recon4x4(dsp_, blk, *quant_i_, INT32_MIN, dst, luma.stride());
+        quant_i_->recon4x4(blk, INT32_MIN, dst, luma.stride());
         for (int i = 0; i < 16; ++i) {
             if (blk[i] != 0) {
                 mb_nz_map_ |= 1u << b;
@@ -382,17 +365,16 @@ H264Decoder::decode_residual(MbState &st, const Pixel *luma_pred,
     const int ly = st.mby * 16;
     Plane &luma = st.frame->luma();
     mb_nz_map_ = 0;
+    dsp_.copy_rect(luma.row(ly) + lx, luma.stride(), luma_pred, 16, 16,
+                   16);
     for (int b = 0; b < 16; ++b) {
         Coeff blk[16] = {};
         if (!decode_block4x4(*rc_, ctx_, blk, 0, 0))
             return false;
         const int x = lx + (b & 3) * 4;
         const int y = ly + (b >> 2) * 4;
-        Pixel *dst = luma.row(y) + x;
-        dsp_.copy_rect(dst, luma.stride(),
-                       luma_pred + (b >> 2) * 4 * 16 + (b & 3) * 4, 16,
-                       4, 4);
-        recon4x4(dsp_, blk, *quant_p_, INT32_MIN, dst, luma.stride());
+        quant_p_->recon4x4(blk, INT32_MIN, luma.row(y) + x,
+                           luma.stride());
         for (int i = 0; i < 16; ++i) {
             if (blk[i] != 0) {
                 mb_nz_map_ |= 1u << b;
@@ -820,6 +802,25 @@ H264Decoder::parse_resilient_row(const std::vector<u8> &row,
 // ---- phase 2: reconstruction from records ----
 
 void
+H264Decoder::recon_chroma_rec(MbState &st, const MbRec &rec,
+                              const Pixel *cb_pred, const Pixel *cr_pred,
+                              const H264Quantizer &quant)
+{
+    for (int comp = 1; comp < 3; ++comp) {
+        Plane &plane = st.frame->plane(comp);
+        const int cx = st.mbx * 8;
+        const int cy = st.mby * 8;
+        dsp_.copy_rect(plane.row(cy) + cx, plane.stride(),
+                       comp == 1 ? cb_pred : cr_pred, 8, 8, 8);
+        for (int b = 0; b < 4; ++b) {
+            quant.recon4x4(rec.chroma[comp - 1][b], INT32_MIN,
+                           plane.row(cy + (b >> 1) * 4) + cx + (b & 1) * 4,
+                           plane.stride());
+        }
+    }
+}
+
+void
 H264Decoder::recon_intra_rec(MbState &st, const MbRec &rec)
 {
     const int lx = st.mbx * 16;
@@ -837,8 +838,7 @@ H264Decoder::recon_intra_rec(MbState &st, const MbRec &rec)
                            pred, 4);
             Pixel *dst = luma.row(y) + x;
             dsp_.copy_rect(dst, luma.stride(), pred, 4, 4, 4);
-            recon4x4(dsp_, rec.luma[b], *quant_i_, INT32_MIN, dst,
-                     luma.stride());
+            quant_i_->recon4x4(rec.luma[b], INT32_MIN, dst, luma.stride());
             for (int i = 0; i < 16; ++i) {
                 if (rec.luma[b][i] != 0) {
                     nz_map |= 1u << b;
@@ -858,15 +858,13 @@ H264Decoder::recon_intra_rec(MbState &st, const MbRec &rec)
             dc_nz |= rec.dc_levels[b] != 0;
         }
         hadamard4x4_inv(dc_rec);
+        dsp_.copy_rect(luma.row(ly) + lx, luma.stride(), pred, 16, 16,
+                       16);
         for (int b = 0; b < 16; ++b) {
             const int x = lx + (b & 3) * 4;
             const int y = ly + (b >> 2) * 4;
-            Pixel *dst = luma.row(y) + x;
-            dsp_.copy_rect(dst, luma.stride(),
-                           pred + (b >> 2) * 4 * 16 + (b & 3) * 4, 16,
-                           4, 4);
-            recon4x4(dsp_, rec.luma[b], *quant_i_, (dc_rec[b] + 8) >> 4,
-                     dst, luma.stride());
+            quant_i_->recon4x4(rec.luma[b], (dc_rec[b] + 8) >> 4,
+                               luma.row(y) + x, luma.stride());
             bool nz = dc_nz;
             for (int i = 1; i < 16; ++i)
                 nz |= rec.luma[b][i] != 0;
@@ -880,19 +878,7 @@ H264Decoder::recon_intra_rec(MbState &st, const MbRec &rec)
                       8);
     predict_chroma_dc(st.frame->cr(), st.mbx * 8, st.mby * 8, cr_pred,
                       8);
-    for (int comp = 1; comp < 3; ++comp) {
-        Plane &plane = st.frame->plane(comp);
-        const Pixel *pred = comp == 1 ? cb_pred : cr_pred;
-        for (int b = 0; b < 4; ++b) {
-            const int x = st.mbx * 8 + (b & 1) * 4;
-            const int y = st.mby * 8 + (b >> 1) * 4;
-            const Pixel *pp = pred + (b >> 1) * 4 * 8 + (b & 1) * 4;
-            Pixel *dst = plane.row(y) + x;
-            dsp_.copy_rect(dst, plane.stride(), pp, 8, 4, 4);
-            recon4x4(dsp_, rec.chroma[comp - 1][b], *quant_i_,
-                     INT32_MIN, dst, plane.stride());
-        }
-    }
+    recon_chroma_rec(st, rec, cb_pred, cr_pred, *quant_i_);
 
     fill_binfo(st, true, -1, nullptr, 0, nz_map);
     mv_grid_[st.mby * mb_w_ + st.mbx] = MotionVector{};
@@ -1003,15 +989,13 @@ H264Decoder::recon_mb_rec(MbState &st, const MbRec &rec)
     // Residual add, shared for P and B.
     Plane &luma = st.frame->luma();
     u16 nz_map = 0;
+    dsp_.copy_rect(luma.row(ly) + lx, luma.stride(), luma_pred, 16, 16,
+                   16);
     for (int b = 0; b < 16; ++b) {
         const int x = lx + (b & 3) * 4;
         const int y = ly + (b >> 2) * 4;
-        Pixel *dst = luma.row(y) + x;
-        dsp_.copy_rect(dst, luma.stride(),
-                       luma_pred + (b >> 2) * 4 * 16 + (b & 3) * 4, 16,
-                       4, 4);
-        recon4x4(dsp_, rec.luma[b], *quant_p_, INT32_MIN, dst,
-                 luma.stride());
+        quant_p_->recon4x4(rec.luma[b], INT32_MIN, luma.row(y) + x,
+                           luma.stride());
         for (int i = 0; i < 16; ++i) {
             if (rec.luma[b][i] != 0) {
                 nz_map |= 1u << b;
@@ -1019,20 +1003,7 @@ H264Decoder::recon_mb_rec(MbState &st, const MbRec &rec)
             }
         }
     }
-    for (int comp = 1; comp < 3; ++comp) {
-        Plane &plane = st.frame->plane(comp);
-        const Pixel *pred = comp == 1 ? cb_pred : cr_pred;
-        for (int b = 0; b < 4; ++b) {
-            const int x = st.mbx * 8 + (b & 1) * 4;
-            const int y = st.mby * 8 + (b >> 1) * 4;
-            Pixel *dst = plane.row(y) + x;
-            dsp_.copy_rect(dst, plane.stride(),
-                           pred + (b >> 1) * 4 * 8 + (b & 1) * 4, 8, 4,
-                           4);
-            recon4x4(dsp_, rec.chroma[comp - 1][b], *quant_p_,
-                     INT32_MIN, dst, plane.stride());
-        }
-    }
+    recon_chroma_rec(st, rec, cb_pred, cr_pred, *quant_p_);
 
     if (rec.kind == MbRec::kInterPMb) {
         fill_binfo(st, false, binfo_ref, parts, count, nz_map);
@@ -1154,7 +1125,7 @@ H264Decoder::decode_picture_resilient(const Packet &packet, Frame *out)
         return Status::corrupt_stream("every row of the picture lost");
 
     if (deblock)
-        deblock_picture(out, binfo_, qp, config().approx);
+        deblock_picture(out, binfo_, qp, config().approx, dsp_);
 
     if (type != PictureType::kB)
         push_reference(*out);
@@ -1227,7 +1198,7 @@ H264Decoder::decode_picture(const Packet &packet, Frame *out)
         side_info_sink()->push(std::move(si));
 
     if (deblock)
-        deblock_picture(out, binfo_, qp, config().approx);
+        deblock_picture(out, binfo_, qp, config().approx, dsp_);
 
     if (type != PictureType::kB)
         push_reference(*out);

@@ -89,6 +89,8 @@ class H264Encoder final : public EncoderBase
 
     const char *name() const override { return "h264"; }
 
+    const Frame *last_reconstruction() const override { return last_recon_; }
+
   protected:
     std::vector<u8> encode_picture(const Frame &src,
                                    PictureType type) override;
@@ -192,6 +194,7 @@ class H264Encoder final : public EncoderBase
     std::vector<MotionVector> mv_grid_;     ///< quarter-pel, current
     std::vector<MotionVector> anchor_mvs_;  ///< full-pel collocated
     Frame recon_;
+    const Frame *last_recon_ = nullptr;  ///< recon_ or its dpb_ copy
     Contexts ctx_models_;
     std::vector<MbRecord> records_;   ///< one per MB, raster order
     std::unique_ptr<ThreadPool> pool_;  ///< band pool (threads > 1)
@@ -330,20 +333,6 @@ transform_quant4x4(const Dsp &dsp, const Plane &src_plane, int x, int y,
     return quant.quantize4x4(blk);
 }
 
-/** Dequantise levels and add the inverse transform to @p dst. */
-inline void
-recon4x4(const Dsp &dsp, const Coeff levels[16],
-         const H264Quantizer &quant, s32 dc_coeff, Pixel *dst, int ds)
-{
-    Coeff tmp[16];
-    std::memcpy(tmp, levels, sizeof(tmp));
-    quant.dequantize4x4(tmp);
-    if (dc_coeff != INT32_MIN)
-        tmp[0] = static_cast<Coeff>(clamp<s32>(dc_coeff, -32768, 32767));
-    h264_inv4x4(tmp);
-    dsp.add_rect(dst, ds, tmp, 4, 4, 4);
-}
-
 }  // namespace
 
 void
@@ -358,6 +347,8 @@ H264Encoder::analyze_chroma(const Frame &src, int mbx, int mby,
         const Pixel *pred = comp == 1 ? cb_pred : cr_pred;
         const int cx = mbx * 8;
         const int cy = mby * 8;
+        dsp_.copy_rect(rec_plane.row(cy) + cx, rec_plane.stride(), pred, 8,
+                       8, 8);
         for (int b = 0; b < 4; ++b) {
             const int x = cx + (b & 1) * 4;
             const int y = cy + (b >> 1) * 4;
@@ -365,10 +356,8 @@ H264Encoder::analyze_chroma(const Frame &src, int mbx, int mby,
             const Pixel *pp = pred + (b >> 1) * 4 * 8 + (b & 1) * 4;
             transform_quant4x4(dsp_, src_plane, x, y, pp, 8, quant, blk,
                                nullptr);
-            Pixel *dst = rec_plane.row(y) + x;
-            dsp_.copy_rect(dst, rec_plane.stride(), pp, 8, 4, 4);
-            recon4x4(dsp_, blk, quant, INT32_MIN, dst,
-                     rec_plane.stride());
+            quant.recon4x4(blk, INT32_MIN, rec_plane.row(y) + x,
+                           rec_plane.stride());
         }
     }
 }
@@ -407,14 +396,13 @@ H264Encoder::analyze_luma_intra16(const Frame &src, int mbx, int mby,
     }
     hadamard4x4_inv(dc_rec);
     u16 nz_map = 0;
+    Plane &luma = recon_.luma();
+    dsp_.copy_rect(luma.row(ly) + lx, luma.stride(), pred, 16, 16, 16);
     for (int b = 0; b < 16; ++b) {
         const int x = lx + (b & 3) * 4;
         const int y = ly + (b >> 2) * 4;
-        Pixel *dst = recon_.luma().row(y) + x;
-        dsp_.copy_rect(dst, recon_.luma().stride(),
-                       pred + (b >> 2) * 4 * 16 + (b & 3) * 4, 16, 4, 4);
-        recon4x4(dsp_, rec.luma[b], quant_i_, (dc_rec[b] + 8) >> 4, dst,
-                 recon_.luma().stride());
+        quant_i_.recon4x4(rec.luma[b], (dc_rec[b] + 8) >> 4,
+                          luma.row(y) + x, luma.stride());
         bool nz = dc_nz;
         for (int i = 1; i < 16; ++i)
             nz |= rec.luma[b][i] != 0;
@@ -460,8 +448,8 @@ H264Encoder::analyze_luma_intra4(const Frame &src, int mbx, int mby,
                                           nullptr);
         Pixel *dst = recon_.luma().row(y) + x;
         dsp_.copy_rect(dst, recon_.luma().stride(), pred, 4, 4, 4);
-        recon4x4(dsp_, rec.luma[b], quant_i_, INT32_MIN, dst,
-                 recon_.luma().stride());
+        quant_i_.recon4x4(rec.luma[b], INT32_MIN, dst,
+                          recon_.luma().stride());
         if (nz != 0)
             nz_map |= 1u << b;
     }
@@ -604,28 +592,25 @@ H264Encoder::recon_inter_mb(int mbx, int mby, const Pixel *luma_pred,
 {
     const int lx = mbx * 16;
     const int ly = mby * 16;
+    Plane &luma = recon_.luma();
+    dsp_.copy_rect(luma.row(ly) + lx, luma.stride(), luma_pred, 16, 16,
+                   16);
     for (int b = 0; b < 16; ++b) {
-        const int x = lx + (b & 3) * 4;
-        const int y = ly + (b >> 2) * 4;
-        Pixel *dst = recon_.luma().row(y) + x;
-        dsp_.copy_rect(dst, recon_.luma().stride(),
-                       luma_pred + (b >> 2) * 4 * 16 + (b & 3) * 4, 16,
-                       4, 4);
-        recon4x4(dsp_, rec.luma[b], quant_p_, INT32_MIN, dst,
-                 recon_.luma().stride());
+        quant_p_.recon4x4(rec.luma[b], INT32_MIN,
+                          luma.row(ly + (b >> 2) * 4) + lx + (b & 3) * 4,
+                          luma.stride());
     }
     for (int comp = 1; comp < 3; ++comp) {
         Plane &rec_plane = recon_.plane(comp);
-        const Pixel *pred = comp == 1 ? cb_pred : cr_pred;
+        const int cx = mbx * 8;
+        const int cy = mby * 8;
+        dsp_.copy_rect(rec_plane.row(cy) + cx, rec_plane.stride(),
+                       comp == 1 ? cb_pred : cr_pred, 8, 8, 8);
         for (int b = 0; b < 4; ++b) {
-            const int x = mbx * 8 + (b & 1) * 4;
-            const int y = mby * 8 + (b >> 1) * 4;
-            Pixel *dst = rec_plane.row(y) + x;
-            dsp_.copy_rect(dst, rec_plane.stride(),
-                           pred + (b >> 1) * 4 * 8 + (b & 1) * 4, 8, 4,
-                           4);
-            recon4x4(dsp_, rec.chroma[comp - 1][b], quant_p_, INT32_MIN,
-                     dst, rec_plane.stride());
+            quant_p_.recon4x4(
+                rec.chroma[comp - 1][b], INT32_MIN,
+                rec_plane.row(cy + (b >> 1) * 4) + cx + (b & 1) * 4,
+                rec_plane.stride());
         }
     }
 }
@@ -1112,7 +1097,7 @@ H264Encoder::encode_picture(const Frame &src, PictureType type)
     }
 
     if (cfg.deblock)
-        deblock_picture(&recon_, binfo_, cfg.qp, cfg.approx);
+        deblock_picture(&recon_, binfo_, cfg.qp, cfg.approx, dsp_);
     recon_.extend_borders();
 
     if (type != PictureType::kB) {
@@ -1129,6 +1114,9 @@ H264Encoder::encode_picture(const Frame &src, PictureType type)
         build_centre_plane(ref.frame.luma(), &ref.centre, dsp_,
                            pool_.get());
         dpb_.push_back(std::move(ref));
+        last_recon_ = &dpb_.back().frame;
+    } else {
+        last_recon_ = &recon_;
     }
     return out;
 }

@@ -43,6 +43,11 @@ const Dsp kScalarDsp = {
     scalar_mpeg_dequant8x8,
     scalar_h264_quant4x4,
     scalar_h264_dequant4x4,
+    scalar_h264_inv4x4_add,
+    scalar_h264_deblock_luma_v,
+    scalar_h264_deblock_luma_h,
+    scalar_h264_deblock_chroma_v,
+    scalar_h264_deblock_chroma_h,
 };
 
 #if defined(__SSE2__)
@@ -77,6 +82,11 @@ const Dsp kSse2Dsp = {
     scalar_mpeg_dequant8x8,
     scalar_h264_quant4x4,
     scalar_h264_dequant4x4,
+    sse2_h264_inv4x4_add,
+    sse2_h264_deblock_luma_v,
+    sse2_h264_deblock_luma_h,
+    sse2_h264_deblock_chroma_v,
+    sse2_h264_deblock_chroma_h,
 };
 #endif
 
@@ -98,7 +108,7 @@ const Dsp kAvx2Dsp = {
     sse2_sad_avg4_rect,
     avx2_satd_avg_rect,
     scalar_copy_rect,  // block copies are memcpy either way
-    avx2_avg_rect,
+    sse2_avg_rect,     // every caller averages rows of at most 16
     avx2_avg4_rect,
     avx2_qpel_bilin_rect,
     avx2_sub_rect,
@@ -112,6 +122,11 @@ const Dsp kAvx2Dsp = {
     avx2_mpeg_dequant8x8,
     avx2_h264_quant4x4,
     avx2_h264_dequant4x4,
+    sse2_h264_inv4x4_add,  // 4 samples a row: one xmm holds two rows
+    avx2_h264_deblock_luma_v,
+    avx2_h264_deblock_luma_h,
+    avx2_h264_deblock_chroma_v,
+    avx2_h264_deblock_chroma_h,
 };
 #endif
 

@@ -197,6 +197,38 @@ struct Dsp {
     /** Returns the number of nonzero levels. */
     int (*h264_quant4x4)(Coeff blk[16], const H264QuantTable &q);
     void (*h264_dequant4x4)(Coeff blk[16], const H264QuantTable &q);
+
+    // ---- H.264-class picture reconstruction ----
+    /** Inverse 4x4 core transform of the dequantised blk with the final
+     * (x + 32) >> 6, added to the 4x4 block at dst with clamping: what
+     * h264_inv4x4 (dsp/transform4x4.h) followed by add_rect gives. blk
+     * is left as it is. */
+    void (*h264_inv4x4_add)(Pixel *dst, int ds, const Coeff blk[16]);
+    /**
+     * In-loop deblocking of 16 lines across one luma edge: _v filters a
+     * vertical edge (16 rows, q0 = pix[0] and p0 = pix[-1] on each row),
+     * _h a horizontal one (16 columns, p0 one row above pix). Line i
+     * belongs to the 4-line segment i / 4, filtered with bs[i / 4] and
+     * tc0[i / 4]; a segment with bs 0 is left as it is, and bs 4 takes
+     * the strong filter. Each line reads p2..q2 and writes p1..q1.
+     * Requires all 16 lines (vector kernels read every one).
+     */
+    void (*h264_deblock_luma_v)(Pixel *pix, int stride, int alpha,
+                                int beta, const u8 bs[4],
+                                const u8 tc0[4]);
+    void (*h264_deblock_luma_h)(Pixel *pix, int stride, int alpha,
+                                int beta, const u8 bs[4],
+                                const u8 tc0[4]);
+    /** The same for one chroma edge of 8 Cb and 8 Cr lines at the same
+     * position (segments 0, 1 in cb, 2, 3 in cr; both planes share
+     * @p stride). Chroma never takes the strong filter: bs 4 filters
+     * as the normal filter with the tc0 given. */
+    void (*h264_deblock_chroma_v)(Pixel *cb, Pixel *cr, int stride,
+                                  int alpha, int beta, const u8 bs[4],
+                                  const u8 tc0[4]);
+    void (*h264_deblock_chroma_h)(Pixel *cb, Pixel *cr, int stride,
+                                  int alpha, int beta, const u8 bs[4],
+                                  const u8 tc0[4]);
 };
 
 /** Kernel table for @p level. A level the running CPU (or this build)

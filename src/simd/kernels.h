@@ -55,6 +55,17 @@ int scalar_mpeg_quant8x8(Coeff blk[64], const MpegQuantTable &q);
 void scalar_mpeg_dequant8x8(Coeff blk[64], const MpegQuantTable &q);
 int scalar_h264_quant4x4(Coeff blk[16], const H264QuantTable &q);
 void scalar_h264_dequant4x4(Coeff blk[16], const H264QuantTable &q);
+void scalar_h264_inv4x4_add(Pixel *dst, int ds, const Coeff blk[16]);
+void scalar_h264_deblock_luma_v(Pixel *pix, int stride, int alpha, int beta,
+                                const u8 bs[4], const u8 tc0[4]);
+void scalar_h264_deblock_luma_h(Pixel *pix, int stride, int alpha, int beta,
+                                const u8 bs[4], const u8 tc0[4]);
+void scalar_h264_deblock_chroma_v(Pixel *cb, Pixel *cr, int stride,
+                                  int alpha, int beta, const u8 bs[4],
+                                  const u8 tc0[4]);
+void scalar_h264_deblock_chroma_h(Pixel *cb, Pixel *cr, int stride,
+                                  int alpha, int beta, const u8 bs[4],
+                                  const u8 tc0[4]);
 
 // ---- SSE2 implementations (compiled only when __SSE2__) ----
 #if defined(__SSE2__)
@@ -98,6 +109,17 @@ void sse2_h264_hpel_v(Pixel *dst, int ds, const Pixel *src, int ss,
                       int w, int h);
 void sse2_h264_hpel_hv(Pixel *dst, int ds, const Pixel *src, int ss,
                        int w, int h);
+void sse2_h264_inv4x4_add(Pixel *dst, int ds, const Coeff blk[16]);
+void sse2_h264_deblock_luma_v(Pixel *pix, int stride, int alpha, int beta,
+                              const u8 bs[4], const u8 tc0[4]);
+void sse2_h264_deblock_luma_h(Pixel *pix, int stride, int alpha, int beta,
+                              const u8 bs[4], const u8 tc0[4]);
+void sse2_h264_deblock_chroma_v(Pixel *cb, Pixel *cr, int stride,
+                                int alpha, int beta, const u8 bs[4],
+                                const u8 tc0[4]);
+void sse2_h264_deblock_chroma_h(Pixel *cb, Pixel *cr, int stride,
+                                int alpha, int beta, const u8 bs[4],
+                                const u8 tc0[4]);
 #endif  // __SSE2__
 
 // ---- AVX2 implementations ----
@@ -115,8 +137,6 @@ u64 avx2_sse_rect(const Pixel *a, int as, const Pixel *b, int bs,
                   int w, int h);
 int avx2_satd_avg_rect(const Pixel *a, int as, const Pixel *b, int bs,
                        const Pixel *c, int cs, int w, int h);
-void avx2_avg_rect(Pixel *dst, int ds, const Pixel *a, int as,
-                   const Pixel *b, int bs, int w, int h);
 void avx2_avg4_rect(Pixel *dst, int ds, const Pixel *src, int ss,
                     int w, int h);
 void avx2_qpel_bilin_rect(Pixel *dst, int ds, const Pixel *src, int ss,
@@ -137,6 +157,16 @@ int avx2_mpeg_quant8x8(Coeff blk[64], const MpegQuantTable &q);
 void avx2_mpeg_dequant8x8(Coeff blk[64], const MpegQuantTable &q);
 int avx2_h264_quant4x4(Coeff blk[16], const H264QuantTable &q);
 void avx2_h264_dequant4x4(Coeff blk[16], const H264QuantTable &q);
+void avx2_h264_deblock_luma_v(Pixel *pix, int stride, int alpha, int beta,
+                              const u8 bs[4], const u8 tc0[4]);
+void avx2_h264_deblock_luma_h(Pixel *pix, int stride, int alpha, int beta,
+                              const u8 bs[4], const u8 tc0[4]);
+void avx2_h264_deblock_chroma_v(Pixel *cb, Pixel *cr, int stride,
+                                int alpha, int beta, const u8 bs[4],
+                                const u8 tc0[4]);
+void avx2_h264_deblock_chroma_h(Pixel *cb, Pixel *cr, int stride,
+                                int alpha, int beta, const u8 bs[4],
+                                const u8 tc0[4]);
 #endif  // HDVB_BUILD_AVX2
 
 }  // namespace hdvb::kernels

@@ -21,7 +21,12 @@
  * reach the same conclusion). The avx2 Dsp table keeps the SSE2 SAD
  * entries, the averaged-candidate ones (sad_avg_rect, sad_avg4_rect)
  * included. The averaged SATD is here: the same one-reduction SATD
- * with a second operand that averages two rows as it loads them.
+ * with a second operand that averages two rows as it loads them. For
+ * the same reason the table keeps sse2_avg_rect (every caller averages
+ * rows of at most 16 samples) and sse2_h264_inv4x4_add. The H.264
+ * deblocking kernels share their loads, masks and stores with SSE2
+ * (simd/deblock_x86.h) and do the filter arithmetic on all 16 lines in
+ * one ymm.
  */
 #include "simd/kernels.h"
 
@@ -30,6 +35,7 @@
 #include <immintrin.h>
 
 #include "simd/dct_matrix.h"
+#include "simd/deblock_x86.h"
 
 namespace hdvb::kernels {
 
@@ -501,44 +507,6 @@ avx2_sse_rect(const Pixel *a, int as, const Pixel *b, int bs,
 }
 
 void
-avx2_avg_rect(Pixel *dst, int ds, const Pixel *a, int as,
-              const Pixel *b, int bs, int w, int h)
-{
-    for (int y = 0; y < h; ++y) {
-        int x = 0;
-        for (; x + 32 <= w; x += 32) {
-            const __m256i va = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(a + x));
-            const __m256i vb = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(b + x));
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + x),
-                                _mm256_avg_epu8(va, vb));
-        }
-        for (; x + 16 <= w; x += 16) {
-            const __m128i va = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(a + x));
-            const __m128i vb = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(b + x));
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + x),
-                             _mm_avg_epu8(va, vb));
-        }
-        for (; x + 8 <= w; x += 8) {
-            const __m128i va =
-                _mm_loadl_epi64(reinterpret_cast<const __m128i *>(a + x));
-            const __m128i vb =
-                _mm_loadl_epi64(reinterpret_cast<const __m128i *>(b + x));
-            _mm_storel_epi64(reinterpret_cast<__m128i *>(dst + x),
-                             _mm_avg_epu8(va, vb));
-        }
-        for (; x < w; ++x)
-            dst[x] = static_cast<Pixel>((a[x] + b[x] + 1) >> 1);
-        dst += ds;
-        a += as;
-        b += bs;
-    }
-}
-
-void
 avx2_avg4_rect(Pixel *dst, int ds, const Pixel *src, int ss,
                int w, int h)
 {
@@ -961,6 +929,126 @@ avx2_h264_dequant4x4(Coeff blk[16], const H264QuantTable &q)
 {
     _mm256_storeu_si256(reinterpret_cast<__m256i *>(blk),
                         mul_sat16(load16_s16(blk), load16_s16(q.v)));
+}
+
+// ---- H.264 in-loop deblocking ----
+
+namespace {
+
+/** min(max(v, -t), t) on s16 lanes. */
+inline __m256i
+clamp_s16(__m256i v, __m256i t)
+{
+    return _mm256_min_epi16(
+        _mm256_max_epi16(v, _mm256_sub_epi16(_mm256_setzero_si256(), t)),
+        t);
+}
+
+/** The deblocking filters' arithmetic with all 16 lines of the edge in
+ * one register of 16-bit lanes (see simd/deblock_x86.h). */
+struct Avx2Arith {
+    static __m256i
+    widen(__m128i v)
+    {
+        return _mm256_cvtepu8_epi16(v);
+    }
+
+    static void
+    normal(const EdgeLanes &e, __m128i tc8, __m128i tc08, EdgeOut *o)
+    {
+        const __m256i p2 = widen(e.p2), p1 = widen(e.p1);
+        const __m256i p0 = widen(e.p0), q0 = widen(e.q0);
+        const __m256i q1 = widen(e.q1), q2 = widen(e.q2);
+        const __m256i avg = widen(_mm_avg_epu8(e.p0, e.q0));
+        const __m256i tc0 = widen(tc08);
+        __m256i delta = _mm256_add_epi16(
+            _mm256_slli_epi16(_mm256_sub_epi16(q0, p0), 2),
+            _mm256_sub_epi16(p1, q1));
+        delta = clamp_s16(
+            _mm256_srai_epi16(
+                _mm256_add_epi16(delta, _mm256_set1_epi16(4)), 3),
+            widen(tc8));
+        const __m256i dp = _mm256_srai_epi16(
+            _mm256_sub_epi16(_mm256_add_epi16(p2, avg),
+                             _mm256_add_epi16(p1, p1)), 1);
+        const __m256i dq = _mm256_srai_epi16(
+            _mm256_sub_epi16(_mm256_add_epi16(q2, avg),
+                             _mm256_add_epi16(q1, q1)), 1);
+        *o = {packus16(_mm256_add_epi16(p1, clamp_s16(dp, tc0))),
+              packus16(_mm256_add_epi16(p0, delta)),
+              packus16(_mm256_sub_epi16(q0, delta)),
+              packus16(_mm256_add_epi16(q1, clamp_s16(dq, tc0)))};
+    }
+
+    static void
+    strong(const EdgeLanes &e, StrongOut *o)
+    {
+        const __m256i two = _mm256_set1_epi16(2);
+        const __m256i four = _mm256_set1_epi16(4);
+        const __m256i p2 = widen(e.p2), p1 = widen(e.p1);
+        const __m256i p0 = widen(e.p0), q0 = widen(e.q0);
+        const __m256i q1 = widen(e.q1), q2 = widen(e.q2);
+        const __m256i pq = _mm256_add_epi16(p0, q0);
+        const __m256i p_sum = _mm256_add_epi16(p1, pq);  // p1+p0+q0
+        const __m256i q_sum = _mm256_add_epi16(q1, pq);  // q1+q0+p0
+        // (p2 + 2 p1 + 2 p0 + 2 q0 + q1 + 4) >> 3
+        o->p0a = packus16(_mm256_srli_epi16(
+            _mm256_add_epi16(
+                _mm256_add_epi16(p2, _mm256_add_epi16(p_sum, p_sum)),
+                _mm256_add_epi16(q1, four)), 3));
+        // (p2 + p1 + p0 + q0 + 2) >> 2
+        o->p1a = packus16(_mm256_srli_epi16(
+            _mm256_add_epi16(_mm256_add_epi16(p2, p_sum), two), 2));
+        // (2 p1 + p0 + q1 + 2) >> 2
+        o->p0b = packus16(_mm256_srli_epi16(
+            _mm256_add_epi16(
+                _mm256_add_epi16(_mm256_add_epi16(p1, p1), p0),
+                _mm256_add_epi16(q1, two)), 2));
+        o->q0a = packus16(_mm256_srli_epi16(
+            _mm256_add_epi16(
+                _mm256_add_epi16(q2, _mm256_add_epi16(q_sum, q_sum)),
+                _mm256_add_epi16(p1, four)), 3));
+        o->q1a = packus16(_mm256_srli_epi16(
+            _mm256_add_epi16(_mm256_add_epi16(q2, q_sum), two), 2));
+        o->q0b = packus16(_mm256_srli_epi16(
+            _mm256_add_epi16(
+                _mm256_add_epi16(_mm256_add_epi16(q1, q1), q0),
+                _mm256_add_epi16(p1, two)), 2));
+    }
+};
+
+}  // namespace
+
+void
+avx2_h264_deblock_luma_v(Pixel *pix, int stride, int alpha, int beta,
+                         const u8 bs[4], const u8 tc0[4])
+{
+    deblock_vertical_edge<Avx2Arith>(pix, pix + 8 * stride, stride,
+                                     alpha, beta, bs, tc0, true);
+}
+
+void
+avx2_h264_deblock_luma_h(Pixel *pix, int stride, int alpha, int beta,
+                         const u8 bs[4], const u8 tc0[4])
+{
+    deblock_horizontal_edge<Avx2Arith>(pix, pix + 8, stride, alpha, beta,
+                                       bs, tc0, true);
+}
+
+void
+avx2_h264_deblock_chroma_v(Pixel *cb, Pixel *cr, int stride, int alpha,
+                           int beta, const u8 bs[4], const u8 tc0[4])
+{
+    deblock_vertical_edge<Avx2Arith>(cb, cr, stride, alpha, beta, bs,
+                                     tc0, false);
+}
+
+void
+avx2_h264_deblock_chroma_h(Pixel *cb, Pixel *cr, int stride, int alpha,
+                           int beta, const u8 bs[4], const u8 tc0[4])
+{
+    deblock_horizontal_edge<Avx2Arith>(cb, cr, stride, alpha, beta, bs,
+                                       tc0, false);
 }
 
 }  // namespace hdvb::kernels

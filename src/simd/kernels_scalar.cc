@@ -419,4 +419,170 @@ scalar_h264_dequant4x4(Coeff blk[16], const H264QuantTable &q)
         blk[i] = sat16(blk[i] * q.v[i]);
 }
 
+namespace {
+
+/** 1-D inverse core transform on (a, b, c, d). */
+inline void
+inv4(int &a, int &b, int &c, int &d)
+{
+    const int e0 = a + c;
+    const int e1 = a - c;
+    const int e2 = (b >> 1) - d;
+    const int e3 = b + (d >> 1);
+    a = e0 + e3;
+    d = e0 - e3;
+    b = e1 + e2;
+    c = e1 - e2;
+}
+
+/**
+ * Filter one line of samples across an edge. p0 = p0p[0] with p1/p2 at
+ * -step/-2*step behind it; q0 = q0p[0] with q1/q2 ahead at +step.
+ */
+inline void
+filter_line(Pixel *p0p, Pixel *q0p, int step, int alpha, int beta,
+            int bs, int tc0)
+{
+    const int p0 = p0p[0];
+    const int p1 = p0p[-step];
+    const int p2 = p0p[-2 * step];
+    const int q0 = q0p[0];
+    const int q1 = q0p[step];
+    const int q2 = q0p[2 * step];
+
+    if (iabs(p0 - q0) >= alpha || iabs(p1 - p0) >= beta ||
+        iabs(q1 - q0) >= beta) {
+        return;
+    }
+
+    if (bs == 4) {
+        // Strong filter.
+        if (iabs(p0 - q0) < (alpha >> 2) + 2) {
+            if (iabs(p2 - p0) < beta) {
+                p0p[0] = static_cast<Pixel>(
+                    (p2 + 2 * p1 + 2 * p0 + 2 * q0 + q1 + 4) >> 3);
+                p0p[-step] = static_cast<Pixel>(
+                    (p2 + p1 + p0 + q0 + 2) >> 2);
+            } else {
+                p0p[0] = static_cast<Pixel>(
+                    (2 * p1 + p0 + q1 + 2) >> 2);
+            }
+            if (iabs(q2 - q0) < beta) {
+                q0p[0] = static_cast<Pixel>(
+                    (q2 + 2 * q1 + 2 * q0 + 2 * p0 + p1 + 4) >> 3);
+                q0p[step] = static_cast<Pixel>(
+                    (q2 + q1 + q0 + p0 + 2) >> 2);
+            } else {
+                q0p[0] = static_cast<Pixel>(
+                    (2 * q1 + q0 + p1 + 2) >> 2);
+            }
+        } else {
+            p0p[0] = static_cast<Pixel>((2 * p1 + p0 + q1 + 2) >> 2);
+            q0p[0] = static_cast<Pixel>((2 * q1 + q0 + p1 + 2) >> 2);
+        }
+        return;
+    }
+
+    // Normal filter.
+    int tc = tc0;
+    const bool fp1 = iabs(p2 - p0) < beta;
+    const bool fq1 = iabs(q2 - q0) < beta;
+    tc += fp1 ? 1 : 0;
+    tc += fq1 ? 1 : 0;
+    const int delta =
+        clamp(((q0 - p0) * 4 + (p1 - q1) + 4) >> 3, -tc, tc);
+    p0p[0] = clamp_pixel(p0 + delta);
+    q0p[0] = clamp_pixel(q0 - delta);
+    if (fp1) {
+        const int d = clamp((p2 + ((p0 + q0 + 1) >> 1) - 2 * p1) >> 1,
+                            -tc0, tc0);
+        p0p[-step] = static_cast<Pixel>(p1 + d);
+    }
+    if (fq1) {
+        const int d = clamp((q2 + ((p0 + q0 + 1) >> 1) - 2 * q1) >> 1,
+                            -tc0, tc0);
+        q0p[step] = static_cast<Pixel>(q1 + d);
+    }
+}
+
+/** Line i of a chroma edge: rows 0..7 of cb, then rows 0..7 of cr. */
+inline Pixel *
+chroma_line(Pixel *cb, Pixel *cr, int i, int step)
+{
+    return (i < 8 ? cb : cr) + (i & 7) * step;
+}
+
+}  // namespace
+
+void
+scalar_h264_inv4x4_add(Pixel *dst, int ds, const Coeff blk[16])
+{
+    int t[16];
+    for (int i = 0; i < 16; ++i)
+        t[i] = blk[i];
+    for (int i = 0; i < 4; ++i)
+        inv4(t[i * 4], t[i * 4 + 1], t[i * 4 + 2], t[i * 4 + 3]);
+    for (int i = 0; i < 4; ++i)
+        inv4(t[i], t[4 + i], t[8 + i], t[12 + i]);
+    for (int y = 0; y < 4; ++y) {
+        for (int x = 0; x < 4; ++x) {
+            const int res = sat16((t[y * 4 + x] + 32) >> 6);
+            dst[x] = clamp_pixel(dst[x] + res);
+        }
+        dst += ds;
+    }
+}
+
+void
+scalar_h264_deblock_luma_v(Pixel *pix, int stride, int alpha, int beta,
+                           const u8 bs[4], const u8 tc0[4])
+{
+    for (int i = 0; i < 16; ++i) {
+        if (bs[i / 4] != 0) {
+            filter_line(pix + i * stride - 1, pix + i * stride, 1,
+                        alpha, beta, bs[i / 4], tc0[i / 4]);
+        }
+    }
+}
+
+void
+scalar_h264_deblock_luma_h(Pixel *pix, int stride, int alpha, int beta,
+                           const u8 bs[4], const u8 tc0[4])
+{
+    for (int i = 0; i < 16; ++i) {
+        if (bs[i / 4] != 0) {
+            filter_line(pix + i - stride, pix + i, stride, alpha, beta,
+                        bs[i / 4], tc0[i / 4]);
+        }
+    }
+}
+
+void
+scalar_h264_deblock_chroma_v(Pixel *cb, Pixel *cr, int stride, int alpha,
+                             int beta, const u8 bs[4], const u8 tc0[4])
+{
+    for (int i = 0; i < 16; ++i) {
+        const int b = bs[i / 4];
+        if (b != 0) {
+            Pixel *q0 = chroma_line(cb, cr, i, stride);
+            filter_line(q0 - 1, q0, 1, alpha, beta, b == 4 ? 3 : b,
+                        tc0[i / 4]);
+        }
+    }
+}
+
+void
+scalar_h264_deblock_chroma_h(Pixel *cb, Pixel *cr, int stride, int alpha,
+                             int beta, const u8 bs[4], const u8 tc0[4])
+{
+    for (int i = 0; i < 16; ++i) {
+        const int b = bs[i / 4];
+        if (b != 0) {
+            Pixel *q0 = chroma_line(cb, cr, i, 1);
+            filter_line(q0 - stride, q0, stride, alpha, beta,
+                        b == 4 ? 3 : b, tc0[i / 4]);
+        }
+    }
+}
+
 }  // namespace hdvb::kernels

@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "simd/dct_matrix.h"
+#include "simd/deblock_x86.h"
 
 namespace hdvb::kernels {
 
@@ -871,6 +872,224 @@ sse2_h264_hpel_hv(Pixel *dst, int ds, const Pixel *src, int ss,
         }
         dst += ds;
     }
+}
+
+// ---- H.264 reconstruction ----
+
+namespace {
+
+/** The four s32 lanes of v's low (high) s16 half, sign-extended. */
+inline __m128i
+widen_lo_s16(__m128i v)
+{
+    return _mm_srai_epi32(_mm_unpacklo_epi16(v, v), 16);
+}
+
+inline __m128i
+widen_hi_s16(__m128i v)
+{
+    return _mm_srai_epi32(_mm_unpackhi_epi16(v, v), 16);
+}
+
+/** 1-D inverse core transform on four s32 lanes of (a, b, c, d). */
+inline void
+inv4_epi32(__m128i &a, __m128i &b, __m128i &c, __m128i &d)
+{
+    const __m128i e0 = _mm_add_epi32(a, c);
+    const __m128i e1 = _mm_sub_epi32(a, c);
+    const __m128i e2 = _mm_sub_epi32(_mm_srai_epi32(b, 1), d);
+    const __m128i e3 = _mm_add_epi32(b, _mm_srai_epi32(d, 1));
+    a = _mm_add_epi32(e0, e3);
+    d = _mm_sub_epi32(e0, e3);
+    b = _mm_add_epi32(e1, e2);
+    c = _mm_sub_epi32(e1, e2);
+}
+
+/** min(max(v, -t), t) on s16 lanes. */
+inline __m128i
+clamp_s16(__m128i v, __m128i t)
+{
+    return _mm_min_epi16(_mm_max_epi16(v, _mm_sub_epi16(_mm_setzero_si128(),
+                                                        t)),
+                         t);
+}
+
+/** The deblocking filters' arithmetic on 16-bit lanes, one 8-lane
+ * half of the edge at a time (see simd/deblock_x86.h). */
+struct Sse2Arith {
+    /** Half h (0 = lanes 0..7) of u8 lanes v, zero-extended. */
+    static __m128i
+    half(__m128i v, int h)
+    {
+        const __m128i zero = _mm_setzero_si128();
+        return h == 0 ? _mm_unpacklo_epi8(v, zero)
+                      : _mm_unpackhi_epi8(v, zero);
+    }
+
+    static void
+    normal(const EdgeLanes &e, __m128i tc8, __m128i tc08, EdgeOut *o)
+    {
+        const __m128i four = _mm_set1_epi16(4);
+        const __m128i avg8 = _mm_avg_epu8(e.p0, e.q0);  // (p0+q0+1)>>1
+        __m128i r[4][2];
+        for (int h = 0; h < 2; ++h) {
+            const __m128i p2 = half(e.p2, h), p1 = half(e.p1, h);
+            const __m128i p0 = half(e.p0, h), q0 = half(e.q0, h);
+            const __m128i q1 = half(e.q1, h), q2 = half(e.q2, h);
+            const __m128i avg = half(avg8, h);
+            const __m128i tc0 = half(tc08, h);
+            __m128i delta =
+                _mm_add_epi16(_mm_slli_epi16(_mm_sub_epi16(q0, p0), 2),
+                              _mm_sub_epi16(p1, q1));
+            delta = clamp_s16(
+                _mm_srai_epi16(_mm_add_epi16(delta, four), 3),
+                half(tc8, h));
+            const __m128i dp = _mm_srai_epi16(
+                _mm_sub_epi16(_mm_add_epi16(p2, avg),
+                              _mm_add_epi16(p1, p1)), 1);
+            const __m128i dq = _mm_srai_epi16(
+                _mm_sub_epi16(_mm_add_epi16(q2, avg),
+                              _mm_add_epi16(q1, q1)), 1);
+            r[0][h] = _mm_add_epi16(p1, clamp_s16(dp, tc0));
+            r[1][h] = _mm_add_epi16(p0, delta);
+            r[2][h] = _mm_sub_epi16(q0, delta);
+            r[3][h] = _mm_add_epi16(q1, clamp_s16(dq, tc0));
+        }
+        *o = {_mm_packus_epi16(r[0][0], r[0][1]),
+              _mm_packus_epi16(r[1][0], r[1][1]),
+              _mm_packus_epi16(r[2][0], r[2][1]),
+              _mm_packus_epi16(r[3][0], r[3][1])};
+    }
+
+    static void
+    strong(const EdgeLanes &e, StrongOut *o)
+    {
+        const __m128i two = _mm_set1_epi16(2);
+        const __m128i four = _mm_set1_epi16(4);
+        __m128i r[6][2];
+        for (int h = 0; h < 2; ++h) {
+            const __m128i p2 = half(e.p2, h), p1 = half(e.p1, h);
+            const __m128i p0 = half(e.p0, h), q0 = half(e.q0, h);
+            const __m128i q1 = half(e.q1, h), q2 = half(e.q2, h);
+            const __m128i pq = _mm_add_epi16(p0, q0);
+            const __m128i p_sum = _mm_add_epi16(p1, pq);  // p1+p0+q0
+            const __m128i q_sum = _mm_add_epi16(q1, pq);  // q1+q0+p0
+            // (p2 + 2 p1 + 2 p0 + 2 q0 + q1 + 4) >> 3
+            r[0][h] = _mm_srli_epi16(
+                _mm_add_epi16(_mm_add_epi16(p2, _mm_add_epi16(p_sum,
+                                                              p_sum)),
+                              _mm_add_epi16(q1, four)), 3);
+            // (p2 + p1 + p0 + q0 + 2) >> 2
+            r[1][h] = _mm_srli_epi16(
+                _mm_add_epi16(_mm_add_epi16(p2, p_sum), two), 2);
+            // (2 p1 + p0 + q1 + 2) >> 2
+            r[2][h] = _mm_srli_epi16(
+                _mm_add_epi16(_mm_add_epi16(_mm_add_epi16(p1, p1), p0),
+                              _mm_add_epi16(q1, two)), 2);
+            r[3][h] = _mm_srli_epi16(
+                _mm_add_epi16(_mm_add_epi16(q2, _mm_add_epi16(q_sum,
+                                                              q_sum)),
+                              _mm_add_epi16(p1, four)), 3);
+            r[4][h] = _mm_srli_epi16(
+                _mm_add_epi16(_mm_add_epi16(q2, q_sum), two), 2);
+            r[5][h] = _mm_srli_epi16(
+                _mm_add_epi16(_mm_add_epi16(_mm_add_epi16(q1, q1), q0),
+                              _mm_add_epi16(p1, two)), 2);
+        }
+        o->p0a = _mm_packus_epi16(r[0][0], r[0][1]);
+        o->p1a = _mm_packus_epi16(r[1][0], r[1][1]);
+        o->p0b = _mm_packus_epi16(r[2][0], r[2][1]);
+        o->q0a = _mm_packus_epi16(r[3][0], r[3][1]);
+        o->q1a = _mm_packus_epi16(r[4][0], r[4][1]);
+        o->q0b = _mm_packus_epi16(r[5][0], r[5][1]);
+    }
+};
+
+}  // namespace
+
+void
+sse2_h264_inv4x4_add(Pixel *dst, int ds, const Coeff blk[16])
+{
+    // Transpose the s16 rows so that each register holds two columns;
+    // widened to s32, each lane then carries one row of a column.
+    const __m128i r01 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(blk));
+    const __m128i r23 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(blk + 8));
+    const __m128i t0 = _mm_unpacklo_epi16(r01, r23);
+    const __m128i t1 = _mm_unpackhi_epi16(r01, r23);
+    const __m128i c01 = _mm_unpacklo_epi16(t0, t1);
+    const __m128i c23 = _mm_unpackhi_epi16(t0, t1);
+    __m128i a = widen_lo_s16(c01), b = widen_hi_s16(c01);
+    __m128i c = widen_lo_s16(c23), d = widen_hi_s16(c23);
+    inv4_epi32(a, b, c, d);  // the row transforms, all four at once
+    // Transpose back: each register one row, each lane one column.
+    const __m128i ab_lo = _mm_unpacklo_epi32(a, b);
+    const __m128i cd_lo = _mm_unpacklo_epi32(c, d);
+    const __m128i ab_hi = _mm_unpackhi_epi32(a, b);
+    const __m128i cd_hi = _mm_unpackhi_epi32(c, d);
+    a = _mm_unpacklo_epi64(ab_lo, cd_lo);
+    b = _mm_unpackhi_epi64(ab_lo, cd_lo);
+    c = _mm_unpacklo_epi64(ab_hi, cd_hi);
+    d = _mm_unpackhi_epi64(ab_hi, cd_hi);
+    inv4_epi32(a, b, c, d);  // the column transforms
+    const __m128i round = _mm_set1_epi32(32);
+    const __m128i res01 =
+        _mm_packs_epi32(_mm_srai_epi32(_mm_add_epi32(a, round), 6),
+                        _mm_srai_epi32(_mm_add_epi32(b, round), 6));
+    const __m128i res23 =
+        _mm_packs_epi32(_mm_srai_epi32(_mm_add_epi32(c, round), 6),
+                        _mm_srai_epi32(_mm_add_epi32(d, round), 6));
+    // From s16 levels the residual stays below 3.5 * 3.5 * 32768 / 64 <
+    // 6300 in magnitude, so the s16 pack and add never saturate; packus
+    // is the pixel clamp.
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i s01 = _mm_packus_epi16(
+        _mm_add_epi16(_mm_unpacklo_epi8(load4x2(dst, ds), zero), res01),
+        zero);
+    const __m128i s23 = _mm_packus_epi16(
+        _mm_add_epi16(_mm_unpacklo_epi8(load4x2(dst + 2 * ds, ds), zero),
+                      res23),
+        zero);
+    const u32 rows[4] = {
+        static_cast<u32>(_mm_cvtsi128_si32(s01)),
+        static_cast<u32>(_mm_cvtsi128_si32(_mm_srli_si128(s01, 4))),
+        static_cast<u32>(_mm_cvtsi128_si32(s23)),
+        static_cast<u32>(_mm_cvtsi128_si32(_mm_srli_si128(s23, 4)))};
+    for (int y = 0; y < 4; ++y)
+        std::memcpy(dst + y * ds, &rows[y], 4);
+}
+
+void
+sse2_h264_deblock_luma_v(Pixel *pix, int stride, int alpha, int beta,
+                         const u8 bs[4], const u8 tc0[4])
+{
+    deblock_vertical_edge<Sse2Arith>(pix, pix + 8 * stride, stride,
+                                     alpha, beta, bs, tc0, true);
+}
+
+void
+sse2_h264_deblock_luma_h(Pixel *pix, int stride, int alpha, int beta,
+                         const u8 bs[4], const u8 tc0[4])
+{
+    deblock_horizontal_edge<Sse2Arith>(pix, pix + 8, stride, alpha, beta,
+                                       bs, tc0, true);
+}
+
+void
+sse2_h264_deblock_chroma_v(Pixel *cb, Pixel *cr, int stride, int alpha,
+                           int beta, const u8 bs[4], const u8 tc0[4])
+{
+    deblock_vertical_edge<Sse2Arith>(cb, cr, stride, alpha, beta, bs,
+                                     tc0, false);
+}
+
+void
+sse2_h264_deblock_chroma_h(Pixel *cb, Pixel *cr, int stride, int alpha,
+                           int beta, const u8 bs[4], const u8 tc0[4])
+{
+    deblock_horizontal_edge<Sse2Arith>(cb, cr, stride, alpha, beta, bs,
+                                       tc0, false);
 }
 
 }  // namespace hdvb::kernels

@@ -20,6 +20,8 @@
 
 #include "dsp/dct_ref.h"
 #include "dsp/quant.h"
+#include "dsp/transform4x4.h"
+#include "h264/deblock.h"
 #include "simd/dispatch.h"
 #include "video/plane.h"
 
@@ -462,6 +464,198 @@ TEST_P(KernelEquivalence, H264HalfPel)
             simd_->h264_hpel_hv(d2.data(), 24, src, kStride, w, h);
             EXPECT_EQ(d1, d2) << "hpel_hv w=" << w << " h=" << h;
         }
+    }
+}
+
+namespace {
+
+/** Sample patterns across a deblocking edge. */
+enum class EdgePattern { kNoise, kNearStep, kFlat, kRamp, kFullStep };
+
+/**
+ * Fill a w x h picture so that every line crossing the column (or row)
+ * @p edge shows @p pattern: kNearStep puts each side within a few grey
+ * levels of its own level and steps by up to alpha + 2 across the edge,
+ * so most lines pass the filter thresholds, some at the clip limits.
+ */
+void
+fill_edge_picture(std::vector<Pixel> *pic, int stride, int h, int edge,
+                  bool vertical, EdgePattern pattern, int alpha,
+                  std::mt19937 &rng)
+{
+    for (int y = 0; y < h; ++y) {
+        const int lo = static_cast<int>(rng() % 256);
+        const int step = static_cast<int>(rng() % (2 * alpha + 5)) -
+                         (alpha + 2);
+        for (int x = 0; x < stride; ++x) {
+            const int along = vertical ? x : y;  // across the edge
+            const bool q_side = along >= edge;
+            int v = 0;
+            switch (pattern) {
+            case EdgePattern::kNoise:
+                v = static_cast<int>(rng() % 256);
+                break;
+            case EdgePattern::kNearStep:
+                v = lo + (q_side ? step : 0) +
+                    static_cast<int>(rng() % 5) - 2;
+                break;
+            case EdgePattern::kFlat:
+                v = 77;
+                break;
+            case EdgePattern::kRamp:
+                v = 100 + 3 * along;
+                break;
+            case EdgePattern::kFullStep:  // 0 | 255 or 255 | 0
+                v = q_side == ((vertical ? y : x) % 2 == 0) ? 255 : 0;
+                break;
+            }
+            (*pic)[static_cast<size_t>(y) * stride + x] =
+                clamp_pixel(v);
+        }
+    }
+}
+
+}  // namespace
+
+TEST_P(KernelEquivalence, H264DeblockLuma)
+{
+    // 16 lines across an edge at column (row) 8, with four samples of
+    // margin around the kernel's reads; whole pictures are compared, so
+    // a stray write anywhere fails too.
+    constexpr int kW = 29;  // odd stride
+    constexpr int kH = 28;
+    for (int qp = 0; qp < 52; ++qp) {
+        const h264::DeblockThresholds t = h264::deblock_thresholds(qp);
+        for (int pat = 0; pat < 5; ++pat) {
+            for (const bool vertical : {true, false}) {
+                u8 bs[4], tc0[4];
+                for (int s = 0; s < 4; ++s) {
+                    bs[s] = static_cast<u8>(rng_() % 5);
+                    tc0[s] = static_cast<u8>(
+                        bs[s] != 0 ? h264::deblock_tc0(qp, bs[s]) : 0);
+                }
+                std::vector<Pixel> ref(kW * kH), got;
+                fill_edge_picture(&ref, kW, kH, 8, vertical,
+                                  static_cast<EdgePattern>(pat), t.alpha,
+                                  rng_);
+                got = ref;
+                const int at = vertical ? 6 * kW + 8 : 8 * kW + 6;
+                if (vertical) {
+                    scalar_.h264_deblock_luma_v(ref.data() + at, kW,
+                                                t.alpha, t.beta, bs, tc0);
+                    simd_->h264_deblock_luma_v(got.data() + at, kW,
+                                               t.alpha, t.beta, bs, tc0);
+                } else {
+                    scalar_.h264_deblock_luma_h(ref.data() + at, kW,
+                                                t.alpha, t.beta, bs, tc0);
+                    simd_->h264_deblock_luma_h(got.data() + at, kW,
+                                               t.alpha, t.beta, bs, tc0);
+                }
+                ASSERT_EQ(ref, got)
+                    << "qp=" << qp << " pattern=" << pat
+                    << (vertical ? " vertical" : " horizontal")
+                    << " bs=" << int{bs[0]} << int{bs[1]} << int{bs[2]}
+                    << int{bs[3]};
+            }
+        }
+    }
+}
+
+TEST_P(KernelEquivalence, H264DeblockChroma)
+{
+    // Cb and Cr are separate pictures; each holds 8 lines of the edge.
+    constexpr int kW = 21;
+    constexpr int kH = 20;
+    for (int qp = 0; qp < 52; ++qp) {
+        const h264::DeblockThresholds t = h264::deblock_thresholds(qp);
+        for (int pat = 0; pat < 5; ++pat) {
+            for (const bool vertical : {true, false}) {
+                u8 bs[4], tc0[4];
+                for (int s = 0; s < 4; ++s) {
+                    bs[s] = static_cast<u8>(rng_() % 5);
+                    tc0[s] = static_cast<u8>(
+                        bs[s] != 0 ? h264::deblock_tc0(qp, bs[s]) : 0);
+                }
+                std::vector<Pixel> ref_cb(kW * kH), ref_cr(kW * kH);
+                for (std::vector<Pixel> *pic : {&ref_cb, &ref_cr}) {
+                    fill_edge_picture(pic, kW, kH, 8, vertical,
+                                      static_cast<EdgePattern>(pat),
+                                      t.alpha, rng_);
+                }
+                std::vector<Pixel> cb = ref_cb, cr = ref_cr;
+                const int at = vertical ? 6 * kW + 8 : 8 * kW + 6;
+                if (vertical) {
+                    scalar_.h264_deblock_chroma_v(ref_cb.data() + at,
+                                                  ref_cr.data() + at, kW,
+                                                  t.alpha, t.beta, bs,
+                                                  tc0);
+                    simd_->h264_deblock_chroma_v(cb.data() + at,
+                                                 cr.data() + at, kW,
+                                                 t.alpha, t.beta, bs, tc0);
+                } else {
+                    scalar_.h264_deblock_chroma_h(ref_cb.data() + at,
+                                                  ref_cr.data() + at, kW,
+                                                  t.alpha, t.beta, bs,
+                                                  tc0);
+                    simd_->h264_deblock_chroma_h(cb.data() + at,
+                                                 cr.data() + at, kW,
+                                                 t.alpha, t.beta, bs, tc0);
+                }
+                ASSERT_EQ(ref_cb, cb) << "qp=" << qp << " pattern=" << pat;
+                ASSERT_EQ(ref_cr, cr) << "qp=" << qp << " pattern=" << pat;
+            }
+        }
+    }
+}
+
+TEST_P(KernelEquivalence, H264Inv4x4Add)
+{
+    // Dequantised levels span all of s16; destinations sit near both
+    // clamp edges as well as anywhere.
+    for (int trial = 0; trial < 400; ++trial) {
+        Coeff blk[16];
+        for (Coeff &c : blk) {
+            switch (trial % 4) {
+            case 0:  // anything
+                c = static_cast<Coeff>(rng_());
+                break;
+            case 1:  // extremes
+                c = static_cast<Coeff>(rng_() % 2 ? 32767 : -32768);
+                break;
+            case 2:  // typical dequantised residuals
+                c = static_cast<Coeff>(static_cast<int>(rng_() % 4001) -
+                                       2000);
+                break;
+            default:  // sparse: mostly zero, a few large
+                c = static_cast<Coeff>(
+                    rng_() % 5 == 0 ? static_cast<int>(rng_() % 65536) -
+                                          32768
+                                    : 0);
+                break;
+            }
+        }
+        const int base = trial % 3 == 0 ? 0 : (trial % 3 == 1 ? 250 : -1);
+        std::vector<Pixel> ref(kStride * 4);
+        for (size_t i = 0; i < ref.size(); ++i) {
+            ref[i] = base < 0 ? static_cast<Pixel>(rng_())
+                              : clamp_pixel(base + static_cast<int>(
+                                                       rng_() % 6));
+        }
+        std::vector<Pixel> got = ref, spec = ref;
+        const Coeff before[16] = {blk[0], blk[1], blk[2], blk[3], blk[4],
+                                  blk[5], blk[6], blk[7], blk[8], blk[9],
+                                  blk[10], blk[11], blk[12], blk[13],
+                                  blk[14], blk[15]};
+        scalar_.h264_inv4x4_add(ref.data() + 3, kStride, blk);
+        simd_->h264_inv4x4_add(got.data() + 3, kStride, blk);
+        ASSERT_EQ(ref, got) << "trial " << trial;
+        ASSERT_TRUE(std::equal(blk, blk + 16, before)) << "blk modified";
+        // The scalar kernel is h264_inv4x4 followed by add_rect.
+        Coeff res[16];
+        std::copy(blk, blk + 16, res);
+        h264_inv4x4(res);
+        scalar_.add_rect(spec.data() + 3, kStride, res, 4, 4, 4);
+        ASSERT_EQ(spec, ref) << "trial " << trial;
     }
 }
 
